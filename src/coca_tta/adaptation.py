@@ -87,11 +87,13 @@ def tau_discrepancy(p_a: np.ndarray, p_s_scaled: np.ndarray, clamp: float = 20.0
     return float(np.abs(ea - es).sum() / p_a.shape[0])
 
 
-def _tau_grad(ea: np.ndarray, p_s: np.ndarray, tau: float, clamp: float) -> float:
-    """d/dtau of the batch-mean discrepancy with clip treated as a hard gate."""
-    scaled = p_s / tau
+def _tau_grad(ea: np.ndarray, p_s: np.ndarray, scaled: np.ndarray, es: np.ndarray,
+              tau: float, clamp: float) -> float:
+    """d/dtau of the batch-mean discrepancy with clip treated as a hard gate.
+
+    scaled = p_s / tau and es = exp(clip(scaled)) are those of the current tau.
+    """
     inside = np.abs(scaled) < clamp
-    es = np.exp(np.clip(scaled, -clamp, clamp))
     terms = np.sign(ea - es) * es * p_s * inside
     return float(terms.sum() / (tau * tau * ea.shape[0]))
 
@@ -115,23 +117,29 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
     clamp = state.logit_clamp
     ea = np.exp(np.clip(p_a, -clamp, clamp))
 
-    def loss(tau: float) -> float:
-        es = np.exp(np.clip(p_s / tau, -clamp, clamp))
-        return float(np.abs(ea - es).sum() / p_a.shape[0])
+    def evaluate(tau: float):
+        """Scaled logits, their clipped exponential and the discrepancy at tau."""
+        scaled = p_s / tau
+        es = np.exp(np.clip(scaled, -clamp, clamp))
+        return scaled, es, float(np.abs(ea - es).sum() / p_a.shape[0])
 
     trust = state.step_size / 1e-2  # default step_size gives a full-tau trust region
     tau = state.tau
+    # the current tau's evaluation is carried across iterations: it changes
+    # only when a candidate is accepted, and then it is that candidate's
+    cur = evaluate(tau) if state.steps > 0 else None
     for _ in range(state.steps):
-        g = _tau_grad(ea, p_s, tau, clamp)
+        scaled, es, cur_loss = cur
+        g = _tau_grad(ea, p_s, scaled, es, tau, clamp)
         if g == 0.0:
             continue
         direction = -np.sign(g)
         delta = trust * (tau if direction > 0 else 0.5 * tau)
-        cur = loss(tau)
         while delta > 1e-12 * tau:
             cand = state.clamped(tau + direction * delta)
-            if loss(cand) < cur:
-                tau = cand
+            trial = evaluate(cand)
+            if trial[2] < cur_loss:
+                tau, cur = cand, trial
                 break
             delta *= 0.5
     state.tau = state.clamped(tau)
@@ -215,44 +223,108 @@ def ckd_loss(p_a, p_s, y_hat: np.ndarray) -> Tensor:
     return ad.add(cross_entropy_mean(a, y_hat), cross_entropy_mean(s, y_hat))
 
 
-def _masked_mean(rows: Tensor, keep: np.ndarray) -> Tensor:
-    kept = int(keep.sum())
-    picked = ad.tensor_sum(ad.mul(rows, keep.astype(np.float64)))
-    return ad.scalar_div(picked, kept)
+def _softmax_stats(z: np.ndarray):
+    """Per-row softmax q, logsumexp and sum(q * z) of logits z.
+
+    Uses the operations of ad.softmax, ad.logsumexp and entropy_rows, so the
+    entropy lse - qz is bit-identical to entropy_rows(z).
+    """
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    q = e / s
+    return q, (m + np.log(s))[..., 0], (q * z).sum(axis=-1)
 
 
-def _cross_entropy_rows(logits: Tensor, labels: np.ndarray) -> Tensor:
-    n, c = logits.shape
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    lse = ad.logsumexp(logits)
-    picked = ad.tensor_sum(ad.mul(logits, onehot), axis=-1)
-    return ad.sub(lse, picked)
+def _row_entropy(z: np.ndarray) -> np.ndarray:
+    _, lse, qz = _softmax_stats(z)
+    return lse - qz
+
+
+def _ensemble_logits(z_a: np.ndarray, z_s: np.ndarray, ens: EnsembleOutput):
+    """Ensemble logits (z_a + z_s / tau) * (1 / T) of the loss and its row scale.
+
+    The balance factor T is a constant for model gradients.
+    """
+    scale = 1.0 / ens.T[:, None]
+    return (z_a + z_s / ens.tau) * scale, scale
+
+
+def _ensemble_tensor(anchor_t: Tensor, aux_t: Tensor, ens: EnsembleOutput) -> Tensor:
+    """The ensemble logits as one tape node, the auxiliary of the next pairing."""
+    out, scale = _ensemble_logits(anchor_t.data, aux_t.data, ens)
+
+    def bwd(g):
+        ga = g * scale
+        return ga, ga / ens.tau
+
+    return ad._record("ensemble_logits", (anchor_t, aux_t), out, bwd)
 
 
 def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, ens: EnsembleOutput,
                    keep: np.ndarray, lam_col: float, masks: LossMasks
                    ) -> tuple[Tensor, LossBreakdown]:
-    """Masked-mean COCA objective over kept samples, on the active tape."""
+    """Masked-mean COCA objective over kept samples, as one tape node.
+
+    Every term is a mean over the kept rows of a per-row entropy or
+    cross-entropy, built from one softmax per logit matrix (anchor,
+    auxiliary, ensemble). The values are bit-identical to composing
+    entropy_rows and cross-entropy rows on the tape; the backward is
+    analytic: q * (sum(q * z) - z) for an entropy row, q - onehot(y_hat)
+    for a cross-entropy row, and 1 / T and 1 / (T * tau) through the
+    ensemble logits.
+    """
+    z_a, z_s = p_a_t.data, p_s_t.data
+    q_a, lse_a, qz_a = _softmax_stats(z_a)
+    q_s, lse_s, qz_s = _softmax_stats(z_s)
+    h_a, h_s = lse_a - qz_a, lse_s - qz_s
     if ens.aux_dropped:
-        pe_t = p_a_t
+        z_e, q_e, qz_e, h_e = z_a, q_a, qz_a, h_a
     else:
-        scale = 1.0 / ens.T[:, None]  # balance factor is constant for model gradients
-        pe_t = ad.mul(ad.add(p_a_t, ad.scalar_div(p_s_t, ens.tau)), scale)
+        z_e, scale = _ensemble_logits(z_a, z_s, ens)
+        q_e, lse_e, qz_e = _softmax_stats(z_e)
+        h_e = lse_e - qz_e
+    rows = np.arange(len(z_a))
+    y_hat = ens.y_hat
 
-    l_mar = _masked_mean(entropy_rows(pe_t), keep)
-    ckd_rows = ad.add(_cross_entropy_rows(p_a_t, ens.y_hat),
-                      _cross_entropy_rows(p_s_t, ens.y_hat))
-    l_ckd = _masked_mean(ckd_rows, keep)
-    l_sa = ad.add(_masked_mean(entropy_rows(p_a_t), keep),
-                  _masked_mean(entropy_rows(p_s_t), keep))
+    kept = int(keep.sum())
+    keep_w = keep.astype(np.float64)
 
-    zero = Tensor(0.0)
-    col = ad.add(l_mar if masks.mar else zero, l_ckd if masks.ckd else zero)
-    total = ad.add(ad.mul(Tensor(lam_col), col), l_sa if masks.sa else zero)
+    def masked_mean(v):
+        return (v * keep_w).sum() / kept
+
+    l_mar = float(masked_mean(h_e))
+    l_ckd = float(masked_mean((lse_a - z_a[rows, y_hat]) + (lse_s - z_s[rows, y_hat])))
+    l_sa = float(masked_mean(h_a) + masked_mean(h_s))
+    col = (l_mar if masks.mar else 0.0) + (l_ckd if masks.ckd else 0.0)
+    l_total = lam_col * col + (l_sa if masks.sa else 0.0)
+
+    def bwd(g):
+        d_a = np.zeros_like(z_a)
+        d_s = np.zeros_like(z_s)
+        if masks.ckd:
+            for d, q in ((d_a, q_a), (d_s, q_s)):
+                d += q
+                d[rows, y_hat] -= 1.0
+        if masks.mar:
+            d_e = q_e * (qz_e[:, None] - z_e)
+            if ens.aux_dropped:
+                d_a += d_e
+            else:
+                d_e *= scale
+                d_a += d_e
+                d_s += d_e / ens.tau
+        d_a *= lam_col
+        d_s *= lam_col
+        if masks.sa:
+            d_a += q_a * (qz_a[:, None] - z_a)
+            d_s += q_s * (qz_s[:, None] - z_s)
+        w = (g / kept) * keep_w[:, None]
+        return d_a * w, d_s * w
+
+    total = ad._record("coca_objective", (p_a_t, p_s_t), np.asarray(l_total), bwd)
     breakdown = LossBreakdown(
-        l_mar=l_mar.item(), l_ckd=l_ckd.item(), l_sa=l_sa.item(),
-        l_total=total.item(), lam_col=lam_col,
+        l_mar=l_mar, l_ckd=l_ckd, l_sa=l_sa, l_total=l_total, lam_col=lam_col,
         kept_frac=float(keep.mean()))
     return total, breakdown
 
@@ -285,9 +357,7 @@ def coca_step(anchor: ModelHandle, auxiliary: ModelHandle, tau_state: TauState,
 
         num_classes = ens.p_e.shape[1]
         if filter_cfg.enabled:
-            # constant inputs record nothing on the tape
-            h = entropy_rows(ens.p_e).data
-            keep = h < filter_cfg.threshold(num_classes)
+            keep = _row_entropy(ens.p_e) < filter_cfg.threshold(num_classes)
         else:
             keep = np.ones(len(batch), dtype=bool)
 
@@ -357,18 +427,13 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
                     anchor_t.data, aux_np) < collapse_threshold:
                 ens = drop_auxiliary(ens)
             levels.append((anchor_t, aux_t, ens))
-            if ens.aux_dropped:
-                aux_t = anchor_t
-            else:
-                scale = 1.0 / ens.T[:, None]
-                aux_t = ad.mul(ad.add(anchor_t, ad.scalar_div(aux_t, state.tau)), scale)
+            aux_t = anchor_t if ens.aux_dropped else _ensemble_tensor(anchor_t, aux_t, ens)
             aux_np = ens.p_e
 
         top = levels[-1][2]
         num_classes = top.p_e.shape[1]
         if filter_cfg.enabled:
-            h = entropy_rows(top.p_e).data
-            keep = h < filter_cfg.threshold(num_classes)
+            keep = _row_entropy(top.p_e) < filter_cfg.threshold(num_classes)
         else:
             keep = np.ones(len(batch), dtype=bool)
 

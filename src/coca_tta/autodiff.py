@@ -26,6 +26,7 @@ __all__ = [
     "div",
     "scalar_div",
     "matmul",
+    "linear",
     "conv2d",
     "relu",
     "exp",
@@ -149,7 +150,9 @@ def backward(loss: Tensor) -> None:
     if not nodes:
         return
     loss.grad = np.array(1.0)
-    for node in reversed(nodes):
+    while nodes:
+        # popping frees each node's saved arrays as soon as it has run
+        node = nodes.pop()
         out_grad = node.output.grad
         if out_grad is None:
             continue
@@ -253,6 +256,28 @@ def matmul(a, b) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _record("matmul", (a, b), out, bwd)
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine layer ``x @ w + b`` as one node.
+
+    Forward and backward do the numpy operations of ``add(matmul(x, w), b)``,
+    so results are bit-identical to that composition. Gradients of inputs
+    that do not require one are not computed.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: incompatible shapes {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias shape {b.shape} does not match {w.shape[1]} outputs")
+    out = x.data @ w.data + b.data
+
+    def bwd(g):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _record("linear", (x, w, b), out, bwd)
 
 
 def relu(a) -> Tensor:

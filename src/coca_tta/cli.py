@@ -153,6 +153,8 @@ def _sweep_one(cfg_dict: dict, point: dict, index: int, out_dir: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.parallel < 1:
+        raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     cfg = load_config(args.config, args.seed)
     with open(args.grid, "r", encoding="utf-8") as f:
         grid = json.load(f)
@@ -161,8 +163,11 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg_dict = cfg.to_dict()
     rows = [None] * len(points)
-    if args.parallel > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    # every point's seed comes from its index, so the worker count never
+    # changes results; workers beyond the number of points would idle
+    workers = min(args.parallel, len(points))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_one, cfg_dict, p, i, str(out)): i
                        for i, p in enumerate(points)}
             for fut in concurrent.futures.as_completed(futures):

@@ -81,6 +81,8 @@ class RunConfig:
             raise ValueError(f"unsupported strategy: {self.strategy!r}")
         if self.strategy in ("coca", "coca_filtered") and len(self.models) < 2:
             raise ValueError("co-adaptation strategies require >= 2 models")
+        if not (self.loss_masks.sa or self.loss_masks.mar or self.loss_masks.ckd):
+            raise ValueError("loss_masks: at least one of sa, mar, ckd must be on")
         for entry in self.models:
             if entry.spec.num_classes != self.task.num_classes:
                 raise ValueError(

@@ -171,11 +171,11 @@ def forward_logits(model: ModelHandle, batch: Tensor) -> Tensor:
 
     if spec.kind == "mlp":
         for i in range(len(spec.hidden_sizes)):
-            x = ad.add(ad.matmul(x, p[f"layer{i}.weight"]), p[f"layer{i}.bias"])
+            x = ad.linear(x, p[f"layer{i}.weight"], p[f"layer{i}.bias"])
             norm = ad.batchnorm if spec.norm_kind == "batchnorm" else ad.layernorm
             x = norm(x, p[f"layer{i}.norm_scale"], p[f"layer{i}.norm_shift"])
             x = ad.relu(x)
-        return ad.add(ad.matmul(x, p["head.weight"]), p["head.bias"])
+        return ad.linear(x, p["head.weight"], p["head.bias"])
 
     for i in range(len(spec.hidden_sizes)):
         x = ad.conv2d(x, p[f"block{i}.weight"])
@@ -184,7 +184,7 @@ def forward_logits(model: ModelHandle, batch: Tensor) -> Tensor:
         x = ad.relu(x)
     b = x.shape[0]
     x = ad.reshape(x, (b, -1))
-    return ad.add(ad.matmul(x, p["head.weight"]), p["head.bias"])
+    return ad.linear(x, p["head.weight"], p["head.bias"])
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:

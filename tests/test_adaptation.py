@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coca_tta import adaptation as co
+from coca_tta import autodiff as ad
 from coca_tta.adaptation import (FilterConfig, LossMasks, TauState,
                                  agreement_rate, ckd_loss, coca_step,
                                  drop_auxiliary, ensemble, entropy_rows,
@@ -111,6 +112,55 @@ class TestLearnTau:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             learn_tau(TauState(steps=-1), np.ones((2, 2)), np.ones((2, 2)))
+
+    @staticmethod
+    def reference_learn_tau(state, p_a, p_s):
+        """The line search as first written: every discrepancy recomputed."""
+        clamp = state.logit_clamp
+        ea = np.exp(np.clip(p_a, -clamp, clamp))
+
+        def loss(tau):
+            return float(np.abs(ea - np.exp(np.clip(p_s / tau, -clamp, clamp))).sum()
+                         / p_a.shape[0])
+
+        def grad(tau):
+            scaled = p_s / tau
+            es = np.exp(np.clip(scaled, -clamp, clamp))
+            terms = np.sign(ea - es) * es * p_s * (np.abs(scaled) < clamp)
+            return float(terms.sum() / (tau * tau * ea.shape[0]))
+
+        tau = state.tau
+        for _ in range(state.steps):
+            g = grad(tau)
+            if g == 0.0:
+                continue
+            direction = -np.sign(g)
+            delta = (state.step_size / 1e-2) * (tau if direction > 0 else 0.5 * tau)
+            cur = loss(tau)
+            while delta > 1e-12 * tau:
+                cand = state.clamped(tau + direction * delta)
+                if loss(cand) < cur:
+                    tau = cand
+                    break
+                delta *= 0.5
+        return state.clamped(tau)
+
+    def test_matches_reference_line_search_exactly(self):
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            n, c = rng.integers(1, 40), rng.integers(2, 12)
+            p_a = rng.standard_normal((n, c)) * rng.uniform(0.1, 8)
+            p_s = p_a * rng.uniform(-3, 5) + rng.standard_normal((n, c)) * rng.uniform(0, 4)
+            if i % 10 == 0:
+                p_s = p_a.copy()
+            state = TauState(tau=float(rng.uniform(0.05, 20)),
+                             step_size=float(rng.choice([1e-2, 5e-2])),
+                             steps=int(rng.integers(0, 10)),
+                             tau_max=float(rng.choice([1e3, 2.0])),
+                             logit_clamp=float(rng.choice([20.0, 3.0])))
+            for _ in range(2):
+                expect = self.reference_learn_tau(state, p_a, p_s)
+                assert learn_tau(state, p_a, p_s).tau == expect
 
 
 class TestEnsemble:
@@ -227,6 +277,124 @@ class TestLossTerms:
         keep = h < cfg.threshold(8)
         assert np.array_equal(keep, entropy_np(z) < 0.4 * np.log(8))
         assert 0 < keep.sum() < 64
+
+
+def _masked_mean(rows, keep):
+    return ad.scalar_div(ad.tensor_sum(ad.mul(rows, keep.astype(np.float64))),
+                         int(keep.sum()))
+
+
+def _cross_entropy_rows(logits, labels):
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    return ad.sub(ad.logsumexp(logits), ad.tensor_sum(ad.mul(logits, onehot), axis=-1))
+
+
+def _ensemble_composed(p_a_t, p_s_t, ens):
+    return ad.mul(ad.add(p_a_t, ad.scalar_div(p_s_t, ens.tau)), 1.0 / ens.T[:, None])
+
+
+def composed_objective(p_a_t, p_s_t, ens, keep, lam_col, masks):
+    """The COCA objective as a graph of elementary tape ops (the reference)."""
+    pe_t = p_a_t if ens.aux_dropped else _ensemble_composed(p_a_t, p_s_t, ens)
+    l_mar = _masked_mean(entropy_rows(pe_t), keep)
+    l_ckd = _masked_mean(ad.add(_cross_entropy_rows(p_a_t, ens.y_hat),
+                                _cross_entropy_rows(p_s_t, ens.y_hat)), keep)
+    l_sa = ad.add(_masked_mean(entropy_rows(p_a_t), keep),
+                  _masked_mean(entropy_rows(p_s_t), keep))
+    zero = Tensor(0.0)
+    col = ad.add(l_mar if masks.mar else zero, l_ckd if masks.ckd else zero)
+    total = ad.add(ad.mul(Tensor(lam_col), col), l_sa if masks.sa else zero)
+    return total, (l_mar.item(), l_ckd.item(), l_sa.item())
+
+
+MASK_SETS = [LossMasks(sa, mar, ckd) for sa in (False, True) for mar in (False, True)
+             for ckd in (False, True) if sa or mar or ckd]
+
+
+class TestFusedObjective:
+    """The one-node objective against the composed graph of tape ops."""
+
+    def inputs(self, rng, scenario, n=24, c=7):
+        """Leaf logits, the inner pairing's ensemble (cascade only), the ensemble, keep."""
+        leaves = [rng.standard_normal((n, c)) * 3 for _ in range(3)]
+        keep = np.ones(n, dtype=bool)
+        if scenario == "partial_keep":
+            keep = rng.random(n) < 0.6
+            keep[0] = True
+        tau = float(rng.uniform(0.3, 3.0))
+        if scenario == "cascade":
+            # the auxiliary is the inner pairing's ensemble, a non-leaf tensor
+            inner = ensemble(leaves[1], leaves[2], float(rng.uniform(0.3, 3.0)))
+            p_s = co._ensemble_logits(leaves[1], leaves[2], inner)[0]
+        else:
+            inner, p_s = None, leaves[1]
+        ens = ensemble(leaves[0], p_s, tau)
+        if scenario == "aux_dropped":
+            ens = drop_auxiliary(ens)
+        return leaves, inner, ens, keep
+
+    def run(self, leaves, inner, ens, keep, lam_col, masks, fused):
+        ts = [Tensor(x.copy(), requires_grad=True) for x in leaves]
+        with Tape():
+            if inner is None:
+                p_s_t = ts[1]
+            elif fused:
+                p_s_t = co._ensemble_tensor(ts[1], ts[2], inner)
+            else:
+                p_s_t = _ensemble_composed(ts[1], ts[2], inner)
+            if fused:
+                total, bd = co._combined_loss(ts[0], p_s_t, ens, keep, lam_col, masks)
+                terms = (bd.l_mar, bd.l_ckd, bd.l_sa)
+                assert bd.l_total == total.item()
+            else:
+                total, terms = composed_objective(ts[0], p_s_t, ens, keep, lam_col, masks)
+            ad.backward(total)
+        grads = [np.zeros_like(x) if t.grad is None else t.grad for x, t in zip(leaves, ts)]
+        return total.item(), terms, grads
+
+    @pytest.mark.parametrize("masks", MASK_SETS, ids=lambda m: f"sa{m.sa:d}mar{m.mar:d}ckd{m.ckd:d}")
+    @pytest.mark.parametrize("lam_col", [0.0, 0.5, 1.0])
+    def test_matches_composed_graph(self, masks, lam_col):
+        rng = np.random.default_rng(int(lam_col * 10) + 100 * (masks.sa + 2 * masks.mar + 4 * masks.ckd))
+        for scenario in ("full_keep", "partial_keep", "aux_dropped", "cascade"):
+            for _ in range(5):
+                case = self.inputs(rng, scenario)
+                f_total, f_terms, f_grads = self.run(*case, lam_col, masks, fused=True)
+                r_total, r_terms, r_grads = self.run(*case, lam_col, masks, fused=False)
+                assert f_total == r_total, scenario
+                assert f_terms == r_terms, scenario
+                for got, ref in zip(f_grads, r_grads):
+                    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), scenario
+
+    def test_full_batch_terms_match_public_losses(self):
+        rng = np.random.default_rng(3)
+        (z_a, z_s, _), _, ens, keep = self.inputs(rng, "full_keep")
+        with Tape():
+            _, bd = co._combined_loss(Tensor(z_a), Tensor(z_s), ens, keep, 1.0, LossMasks())
+            pe = (z_a + z_s / ens.tau) * (1.0 / ens.T[:, None])
+            assert bd.l_mar == marginal_entropy(pe).item()
+            assert bd.l_sa == self_adapt_loss(z_a, z_s).item()
+            assert abs(bd.l_ckd - ckd_loss(z_a, z_s, ens.y_hat).item()) < 1e-12
+
+    def test_step_records_one_loss_node(self, monkeypatch):
+        anchor, aux = tiny_pair(seed=14)
+        batch = np.random.default_rng(15).standard_normal((16, 6))
+        with Tape() as tape:
+            forward_logits(anchor, Tensor(batch))
+            forward_logits(aux, Tensor(batch))
+            forward_nodes = len(tape)
+        seen = []
+        real_backward = ad.backward
+
+        def counting_backward(loss):
+            seen.append(len(ad.active_tape()))
+            real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", counting_backward)
+        opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
+        coca_step(anchor, aux, TauState(), batch, opts)
+        assert seen == [forward_nodes + 1]
 
 
 def tiny_pair(seed=0, C=4, dims=6):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coca_tta import adaptation as co
 from coca_tta import autodiff as ad
 from coca_tta.autodiff import SGD, ShapeError, Tape, Tensor
 
@@ -112,6 +113,9 @@ class TestReductionsAndShapes:
     def test_matmul(self):
         check_op(ad.matmul, [(4, 6), (6, 3)])
 
+    def test_linear(self):
+        check_op(ad.linear, [(4, 6), (6, 3), (3,)])
+
     def test_reshape(self):
         check_op(lambda a: ad.reshape(a, (2, 10)), [(4, 5)])
 
@@ -139,6 +143,36 @@ class TestReductionsAndShapes:
 
     def test_conv2d(self):
         check_op(ad.conv2d, [(2, 3, 5, 5), (4, 3, 3, 3)], n_cases=20)
+
+
+class TestCocaObjectiveGrads:
+    """Finite differences of the one-node COCA objective in both logit inputs."""
+
+    def check(self, dropped, keep, lam_col, masks, seed):
+        rng = np.random.default_rng(seed)
+        ens = co.ensemble(rng.uniform(0.5, 3.0, (6, 5)), rng.uniform(0.5, 3.0, (6, 5)),
+                          tau=1.7)
+        if dropped:
+            ens = co.drop_auxiliary(ens)
+
+        def objective(p_a, p_s):
+            return co._combined_loss(p_a, p_s, ens, keep, lam_col, masks)[0]
+
+        check_op(objective, [(6, 5), (6, 5)], n_cases=30, seed=seed)
+
+    def test_full_objective(self):
+        self.check(False, np.ones(6, dtype=bool), 0.5, co.LossMasks(), seed=1)
+
+    def test_partial_keep_single_terms(self):
+        keep = np.array([True, False, True, True, False, True])
+        for i, masks in enumerate([co.LossMasks(True, False, False),
+                                   co.LossMasks(False, True, False),
+                                   co.LossMasks(False, False, True)]):
+            self.check(False, keep, 1.0, masks, seed=2 + i)
+
+    def test_aux_dropped(self):
+        keep = np.array([True, True, False, True, True, True])
+        self.check(True, keep, 1.0, co.LossMasks(), seed=5)
 
 
 class TestNormGrads:

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface."""
 
+import concurrent.futures
 import json
 import os
 from pathlib import Path
@@ -58,6 +59,15 @@ class TestValidateConfig:
     def test_requires_models_and_task(self):
         with pytest.raises(ConfigError):
             validate_config({"seed": 0})
+
+    def test_rejects_all_loss_masks_off(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, loss_masks={"sa": False, "mar": False,
+                                                 "ckd": False})
+        with pytest.raises(ConfigError, match="loss_masks"):
+            validate_config(json.loads(cfg.read_text()))
+        assert main(["adapt", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "loss_masks" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPretrainAdaptReport:
@@ -147,6 +157,36 @@ class TestSweep:
         for sub in ("run_000", "run_001"):
             assert ((serial / sub / "report.json").read_bytes()
                     == (parallel / sub / "report.json").read_bytes())
+
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_rejects_parallel_below_one(self, tmp_path, capsys, parallel):
+        cfg = write_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam_col": [0.0, 1.0]}))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", str(cfg), "--grid", str(grid), "--out", str(out),
+                   "--parallel", parallel])
+        assert rc == 1
+        assert "--parallel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_parallel_capped_at_point_count(self, tmp_path, monkeypatch):
+        # a thread pool with one worker stands in for the process pool, so
+        # no process starts; only the requested worker count is recorded
+        requested = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = write_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"tau_steps": [1, 5]}))
+        assert main(["sweep", str(cfg), "--grid", str(grid),
+                     "--out", str(tmp_path / "sweep"), "--parallel", "8"]) == 0
+        assert requested == [2]
 
     def test_bad_config_returns_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

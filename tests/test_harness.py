@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coca_tta import harness
+from coca_tta.adaptation import LossMasks
 from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
                               RunConfig, apply_override, evaluate_accuracy,
                               mix64, prepare_models_cached, run, sweep_points)
@@ -70,6 +71,14 @@ class TestRunConfig:
                                         num_classes=7), lr=1e-3)
         with pytest.raises(ValueError):
             RunConfig(**{**cfg.__dict__, "models": [cfg.models[0], bad]})
+
+    def test_rejects_all_loss_masks_off(self):
+        # an objective with no term has no gradient to step on
+        with pytest.raises(ValueError, match="loss_masks"):
+            small_config(loss_masks=LossMasks(sa=False, mar=False, ckd=False))
+        with pytest.raises(ValueError, match="loss_masks"):
+            apply_override(small_config(), "loss_masks",
+                           {"sa": False, "mar": False, "ckd": False})
 
 
 class TestMetricsRecord:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from coca_tta.autodiff import ShapeError, Tensor
+from coca_tta import autodiff as ad
+from coca_tta.autodiff import ShapeError, Tape, Tensor
 from coca_tta.models import (CHECKPOINT_MAGIC, CheckpointError, ModelSpec,
                              anchor_select, build_model, cross_entropy_mean,
                              evaluate_clean_accuracy, forward_logits,
@@ -110,6 +111,54 @@ class TestForward:
         out = forward_logits(model, Tensor(np.random.default_rng(0)
                                            .standard_normal((5, 1, 6, 6))))
         assert out.shape == (5, 4)
+
+
+def forward_composed(model, x):
+    """forward_logits with every affine layer as matmul followed by add."""
+    p, spec = model.params, model.spec
+    if spec.kind == "mlp":
+        norm = ad.batchnorm if spec.norm_kind == "batchnorm" else ad.layernorm
+        for i in range(len(spec.hidden_sizes)):
+            x = ad.add(ad.matmul(x, p[f"layer{i}.weight"]), p[f"layer{i}.bias"])
+            x = ad.relu(norm(x, p[f"layer{i}.norm_scale"], p[f"layer{i}.norm_shift"]))
+    else:
+        for i in range(len(spec.hidden_sizes)):
+            x = ad.conv2d(x, p[f"block{i}.weight"])
+            x = ad.add(x, ad.reshape(p[f"block{i}.bias"], (1, -1, 1, 1)))
+            x = ad.batchnorm(x, p[f"block{i}.norm_scale"], p[f"block{i}.norm_shift"])
+            x = ad.relu(x)
+        x = ad.reshape(x, (x.shape[0], -1))
+    return ad.add(ad.matmul(x, p["head.weight"]), p["head.bias"])
+
+
+class TestLinearLayers:
+    """ad.linear is bit-identical to matmul followed by add, values and grads."""
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(hidden=(16, 8), norm="layernorm", dims=6, classes=5),
+        small_spec(hidden=(12,), norm="batchnorm", dims=6, classes=5),
+        ModelSpec(kind="convnet", input_shape=(2, 5, 5), hidden_sizes=[3, 4],
+                  norm_kind="batchnorm", num_classes=5),
+    ], ids=["mlp-layernorm", "mlp-batchnorm", "convnet"])
+    @pytest.mark.parametrize("norm_only", [False, True])
+    def test_logits_and_grads_match_composition(self, spec, norm_only):
+        x = np.random.default_rng(1).standard_normal((10,) + spec.input_shape)
+        labels = np.arange(10) % 5
+        results = []
+        for forward in (forward_logits, forward_composed):
+            model = build_model(spec, seed=3)
+            model.set_trainable(norm_only=norm_only)
+            with Tape():
+                logits = forward(model, Tensor(x))
+                ad.backward(cross_entropy_mean(logits, labels))
+            results.append((logits.data, {n: t.grad for n, t in model.params.items()}))
+        (got, got_grads), (ref, ref_grads) = results
+        assert np.array_equal(got, ref)
+        for name, g in ref_grads.items():
+            if g is None:
+                assert got_grads[name] is None
+            else:
+                assert np.array_equal(got_grads[name], g), name
 
 
 class TestCrossEntropy:
