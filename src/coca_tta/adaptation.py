@@ -3,7 +3,8 @@
 Implements the online learnable temperature, max-preserving logit
 ensembling, the combined marginal-entropy / cross-model-distillation /
 self-adaptation objective, an entropy-minimization single-model baseline,
-optional entropy filtering, and a cascade for three or more models.
+optional entropy filtering, and one co-adaptation step for two or more
+models, a cascade of pairings.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class EnsembleOutput:
     tau: float
     p_e_prime: np.ndarray  # p_a + p_s / tau
     T: np.ndarray          # per-sample balance factor (B,)
-    p_e: np.ndarray        # p_e_prime / T
+    p_e: np.ndarray        # p_e_prime * (1 / T)
     y_hat: np.ndarray      # per-sample argmax of p_e
     aux_dropped: bool = False  # collapse guard fired; p_e falls back to p_a
 
@@ -151,10 +152,12 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float,
              mode: str = "max_preserving") -> EnsembleOutput:
     """Aggregate anchor and tau-scaled auxiliary logits.
 
-    max_preserving divides by the per-sample balance factor
-    T = max p_e' / max p_a so the maximum logit matches the anchor's;
+    max_preserving scales by 1 / T, with the per-sample balance factor
+    T = max p_e' / max p_a, so the maximum logit matches the anchor's;
     samples where either maximum is <= 0 fall back to T = 1. The
-    "average" diagnostic mode divides by 2 instead.
+    "average" diagnostic mode uses T = 2 instead. The loss forms its
+    ensemble logits with the same expression (_ensemble_logits), so
+    predictions, the filter and the objective see bit-equal logits.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -171,7 +174,7 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float,
         T = np.where((max_a > 0) & (max_e > 0), max_e / np.where(max_a > 0, max_a, 1.0), 1.0)
     else:
         raise ValueError(f"unsupported ensemble mode: {mode!r}")
-    p_e = pe_prime / T[:, None]
+    p_e = pe_prime * (1.0 / T[:, None])
     y_hat = p_e.argmax(axis=1)
     return EnsembleOutput(p_a=p_a, p_s=p_s, tau=float(tau), p_e_prime=pe_prime,
                           T=T, p_e=p_e, y_hat=y_hat)
@@ -244,7 +247,8 @@ def _row_entropy(z: np.ndarray) -> np.ndarray:
 def _ensemble_logits(z_a: np.ndarray, z_s: np.ndarray, ens: EnsembleOutput):
     """Ensemble logits (z_a + z_s / tau) * (1 / T) of the loss and its row scale.
 
-    The balance factor T is a constant for model gradients.
+    The balance factor T is a constant for model gradients. On the logits
+    that formed ens this is bit-equal to ens.p_e.
     """
     scale = 1.0 / ens.T[:, None]
     return (z_a + z_s / ens.tau) * scale, scale
@@ -335,40 +339,11 @@ def coca_step(anchor: ModelHandle, auxiliary: ModelHandle, tau_state: TauState,
               masks: Optional[LossMasks] = None,
               collapse_threshold: float = 0.0
               ) -> tuple[EnsembleOutput, LossBreakdown]:
-    """One online co-adaptation step on an unlabeled batch.
-
-    Reported predictions come from the forward pass before the update;
-    the updated parameters first affect the next batch. When
-    collapse_threshold > 0 and the two models agree on fewer than that
-    fraction of the batch, the auxiliary is treated as collapsed and the
-    ensemble falls back to the anchor for that batch.
-    """
-    filter_cfg = filter_cfg or FilterConfig(enabled=False)
-    masks = masks or LossMasks()
-    with Tape():
-        p_a_t = forward_logits(anchor, Tensor(batch))
-        p_s_t = forward_logits(auxiliary, Tensor(batch))
-
-        learn_tau(tau_state, p_a_t.data, p_s_t.data)
-        ens = ensemble(p_a_t.data, p_s_t.data, tau_state.tau)
-        if collapse_threshold > 0 and agreement_rate(
-                p_a_t.data, p_s_t.data) < collapse_threshold:
-            ens = drop_auxiliary(ens)
-
-        num_classes = ens.p_e.shape[1]
-        if filter_cfg.enabled:
-            keep = _row_entropy(ens.p_e) < filter_cfg.threshold(num_classes)
-        else:
-            keep = np.ones(len(batch), dtype=bool)
-
-        if not keep.any():
-            return ens, LossBreakdown(0.0, 0.0, 0.0, 0.0, lam_col, kept_frac=0.0)
-
-        total, breakdown = _combined_loss(p_a_t, p_s_t, ens, keep, lam_col, masks)
-        ad.backward(total)
-    for opt in optimizers:
-        opt.step()
-    return ens, breakdown
+    """Two-model co-adaptation: multi_model_step with a single pairing."""
+    out = multi_model_step([anchor, auxiliary], [tau_state], batch, optimizers,
+                           filter_cfg=filter_cfg, lam_col=lam_col, masks=masks,
+                           collapse_threshold=collapse_threshold)
+    return out.ensemble, out.breakdown
 
 
 def tent_step(model: ModelHandle, batch: np.ndarray, optimizer: SGD) -> np.ndarray:
@@ -384,9 +359,14 @@ def tent_step(model: ModelHandle, batch: np.ndarray, optimizer: SGD) -> np.ndarr
 @dataclass
 class CascadeOutput:
     per_model_preds: list[np.ndarray]  # aligned with the descending model order
-    y_hat: np.ndarray                  # topmost combined prediction
+    ensemble: EnsembleOutput           # topmost pairing
     taus: list[float]                  # per-pairing tau, innermost first
     breakdown: LossBreakdown           # summed over pairing levels
+
+    @property
+    def y_hat(self) -> np.ndarray:
+        """Topmost combined prediction."""
+        return self.ensemble.y_hat
 
 
 def multi_model_step(models_desc: Sequence[ModelHandle],
@@ -396,16 +376,21 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
                      lam_col: float = 1.0,
                      masks: Optional[LossMasks] = None,
                      collapse_threshold: float = 0.0) -> CascadeOutput:
-    """Nested co-adaptation for >= 3 models ranked descending by size.
+    """One online co-adaptation step for >= 2 models ranked descending by size.
 
     The two smallest models form the innermost pair; each pairing's
     ensemble serves as the auxiliary against the next-larger model with
-    its own temperature. All models update from the sum of the pairing
-    losses.
+    its own temperature, so two models are a single pairing. All models
+    update from the sum of the pairing losses. Reported predictions come
+    from the forward pass before the update; the updated parameters first
+    affect the next batch. When collapse_threshold > 0 and a pairing's
+    anchor and auxiliary agree on fewer than that fraction of the batch,
+    the auxiliary is treated as collapsed and that pairing's ensemble
+    falls back to its anchor for the batch.
     """
     k = len(models_desc)
-    if k < 3:
-        raise ValueError("multi_model_step requires >= 3 models; use coca_step for 2")
+    if k < 2:
+        raise ValueError(f"multi_model_step requires >= 2 models, got {k}")
     if len(tau_states) != k - 1:
         raise ValueError(f"expected {k - 1} tau states, got {len(tau_states)}")
     filter_cfg = filter_cfg or FilterConfig(enabled=False)
@@ -416,31 +401,29 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
 
         # build pairings bottom-up: innermost is (M_{k-1} anchor, M_k auxiliary)
         aux_t = logits[-1]
-        aux_np = logits[-1].data
         levels = []  # (anchor_t, aux_t, EnsembleOutput)
         for level, i in enumerate(range(k - 2, -1, -1)):
             state = tau_states[level]
             anchor_t = logits[i]
-            learn_tau(state, anchor_t.data, aux_np)
-            ens = ensemble(anchor_t.data, aux_np, state.tau)
+            learn_tau(state, anchor_t.data, aux_t.data)
+            ens = ensemble(anchor_t.data, aux_t.data, state.tau)
             if collapse_threshold > 0 and agreement_rate(
-                    anchor_t.data, aux_np) < collapse_threshold:
+                    anchor_t.data, aux_t.data) < collapse_threshold:
                 ens = drop_auxiliary(ens)
             levels.append((anchor_t, aux_t, ens))
-            aux_t = anchor_t if ens.aux_dropped else _ensemble_tensor(anchor_t, aux_t, ens)
-            aux_np = ens.p_e
+            if i > 0:  # only a next pairing reads this one's ensemble
+                aux_t = anchor_t if ens.aux_dropped else _ensemble_tensor(anchor_t, aux_t, ens)
 
         top = levels[-1][2]
-        num_classes = top.p_e.shape[1]
         if filter_cfg.enabled:
-            keep = _row_entropy(top.p_e) < filter_cfg.threshold(num_classes)
+            keep = _row_entropy(top.p_e) < filter_cfg.threshold(top.p_e.shape[1])
         else:
             keep = np.ones(len(batch), dtype=bool)
 
         preds = [lg.data.argmax(axis=1) for lg in logits]
         taus = [s.tau for s in tau_states]
         if not keep.any():
-            return CascadeOutput(preds, top.y_hat, taus,
+            return CascadeOutput(preds, top, taus,
                                  LossBreakdown(0.0, 0.0, 0.0, 0.0, lam_col, kept_frac=0.0))
 
         total = None
@@ -455,4 +438,4 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
         ad.backward(total)
     for opt in optimizers:
         opt.step()
-    return CascadeOutput(preds, top.y_hat, taus, agg)
+    return CascadeOutput(preds, top, taus, agg)

@@ -88,17 +88,7 @@ def _out_dir(arg) -> Path:
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, args.seed)
     out = _out_dir(args.out)
-    pretrained = []
-    logs = []
-    feats, labels = shiftgen.gen_source(cfg.task, cfg.n_per_class, mix64(cfg.seed, 1))
-    for i, entry in enumerate(cfg.models):
-        model = models.build_model(entry.spec, mix64(cfg.seed, 100 + i))
-        log = models.pretrain(model, feats, labels,
-                              epochs=entry.pretrain_epochs or cfg.pretrain_epochs,
-                              lr=cfg.pretrain_lr, seed=mix64(cfg.seed, 200 + i),
-                              batch_size=cfg.pretrain_batch_size)
-        pretrained.append(model)
-        logs.append(log)
+    pretrained, logs = harness.pretrain_models(cfg)
     out.mkdir(parents=True, exist_ok=True)
     for i, model in enumerate(pretrained):
         models.save_checkpoint(model, str(out / f"model_{i}.ckpt"))
@@ -131,12 +121,7 @@ def cmd_adapt(args) -> int:
 
 
 def _sweep_one(cfg_dict: dict, point: dict, index: int, out_dir: str) -> dict:
-    from dataclasses import replace
-    cfg = RunConfig.from_dict(cfg_dict)
-    for k, v in point.items():
-        cfg = harness.apply_override(cfg, k, v)
-    if "seed" not in point:
-        cfg = replace(cfg, seed=mix64(cfg_dict["seed"], 1000 + index))
+    cfg = harness.point_config(RunConfig.from_dict(cfg_dict), point, index)
     report = run(cfg, use_cache=False)
     sub = Path(out_dir) / f"run_{index:03d}"
     sub.mkdir(parents=True, exist_ok=True)
@@ -159,6 +144,8 @@ def cmd_sweep(args) -> int:
     with open(args.grid, "r", encoding="utf-8") as f:
         grid = json.load(f)
     points = sweep_points(grid)  # raises on empty grid
+    for i, p in enumerate(points):  # reject an invalid point before any run starts
+        harness.point_config(cfg, p, i)
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg_dict = cfg.to_dict()

@@ -9,14 +9,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptation import (CascadeOutput, FilterConfig, LossBreakdown, LossMasks,
-                         TauState, coca_step, multi_model_step, tent_step)
+from .adaptation import FilterConfig, LossMasks, TauState, multi_model_step, tent_step
 from .autodiff import SGD, Tensor
 from .models import (ModelHandle, ModelSpec, anchor_select, build_model,
                      forward_logits, pretrain)
@@ -83,6 +81,17 @@ class RunConfig:
             raise ValueError("co-adaptation strategies require >= 2 models")
         if not (self.loss_masks.sa or self.loss_masks.mar or self.loss_masks.ckd):
             raise ValueError("loss_masks: at least one of sa, mar, ckd must be on")
+        if not self.lam_col >= 0:
+            raise ValueError(f"lam_col must be >= 0, got {self.lam_col}")
+        if self.lam_col == 0 and not self.loss_masks.sa:
+            raise ValueError("lam_col = 0 with loss_masks.sa off leaves an objective "
+                             "that is identically 0")
+        if not 0 < self.tau_min < self.tau_max:
+            raise ValueError(f"need 0 < tau_min < tau_max, got tau_min={self.tau_min}, "
+                             f"tau_max={self.tau_max}")
+        for name in ("collapse_threshold", "filter_threshold_factor"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for entry in self.models:
             if entry.spec.num_classes != self.task.num_classes:
                 raise ValueError(
@@ -177,8 +186,6 @@ class RunReport:
     tau_min_seen: Optional[float]
     tau_max_seen: Optional[float]
     n_samples: int
-    pretrain_logs: list[list[dict]]
-    wall_clock_sec: float = 0.0  # not serialized; kept for local inspection
 
     @property
     def acc_anchor(self) -> float:
@@ -217,18 +224,26 @@ def evaluate_accuracy(predictions: np.ndarray, true_labels: np.ndarray) -> float
     return float((predictions == true_labels).mean())
 
 
-def prepare_models(config: RunConfig) -> list[ModelHandle]:
-    """Build and pretrain the configured models (deterministic in the run seed)."""
+def pretrain_models(config: RunConfig) -> tuple[list[ModelHandle], list[list[dict]]]:
+    """Build and pretrain the configured models (deterministic in the run seed).
+
+    Returns the models and each model's pretraining log.
+    """
     feats, labels = gen_source(config.task, config.n_per_class, mix64(config.seed, 1))
-    models = []
+    models, logs = [], []
     for i, entry in enumerate(config.models):
         model = build_model(entry.spec, mix64(config.seed, 100 + i))
-        pretrain(model, feats, labels,
-                 epochs=entry.pretrain_epochs or config.pretrain_epochs,
-                 lr=config.pretrain_lr, seed=mix64(config.seed, 200 + i),
-                 batch_size=config.pretrain_batch_size)
+        logs.append(pretrain(model, feats, labels,
+                             epochs=entry.pretrain_epochs or config.pretrain_epochs,
+                             lr=config.pretrain_lr, seed=mix64(config.seed, 200 + i),
+                             batch_size=config.pretrain_batch_size))
         models.append(model)
-    return models
+    return models, logs
+
+
+def prepare_models(config: RunConfig) -> list[ModelHandle]:
+    """The pretrained models of pretrain_models, without their logs."""
+    return pretrain_models(config)[0]
 
 
 # Pretraining cache for repeated runs that share (models, task, seed).
@@ -265,8 +280,6 @@ def build_test_stream(config: RunConfig):
 def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
         use_cache: bool = True) -> RunReport:
     """Execute one adaptation run and collect per-batch metrics."""
-    t0 = time.perf_counter()
-    pretrain_logs: list[list[dict]] = []
     if models is None:
         models = (prepare_models_cached(config) if use_cache
                   else prepare_models(config))
@@ -306,23 +319,14 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
             preds = [tent_step(m, xb, opt) for m, opt in zip(ordered, optimizers)]
             comb = None
         else:
-            if n_models == 2:
-                ens, bd = coca_step(ordered[0], ordered[1], tau_states[0], xb,
-                                    optimizers, filter_cfg=filter_cfg,
-                                    lam_col=config.lam_col, masks=config.loss_masks,
-                                    collapse_threshold=config.collapse_threshold)
-                preds = [ens.p_a.argmax(axis=1), ens.p_s.argmax(axis=1)]
-                comb = ens.y_hat
-                tau_val = tau_states[0].tau
-            else:
-                out = multi_model_step(ordered, tau_states, xb, optimizers,
-                                       filter_cfg=filter_cfg, lam_col=config.lam_col,
-                                       masks=config.loss_masks,
-                                       collapse_threshold=config.collapse_threshold)
-                preds = out.per_model_preds
-                comb = out.y_hat
-                bd = out.breakdown
-                tau_val = out.taus[-1]  # topmost pairing
+            out = multi_model_step(ordered, tau_states, xb, optimizers,
+                                   filter_cfg=filter_cfg, lam_col=config.lam_col,
+                                   masks=config.loss_masks,
+                                   collapse_threshold=config.collapse_threshold)
+            preds = out.per_model_preds
+            comb = out.y_hat
+            bd = out.breakdown
+            tau_val = out.taus[-1]  # topmost pairing
             losses = (bd.l_mar, bd.l_ckd, bd.l_sa, bd.l_total, bd.kept_frac)
 
         n = len(yb)
@@ -349,9 +353,7 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
         tau_final=taus[-1] if taus else None,
         tau_min_seen=min(taus) if taus else None,
         tau_max_seen=max(taus) if taus else None,
-        n_samples=total_seen,
-        pretrain_logs=pretrain_logs,
-        wall_clock_sec=time.perf_counter() - t0)
+        n_samples=total_seen)
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -367,20 +369,36 @@ MASK_NAMES = {
 }
 
 
+def point_config(base: RunConfig, point: dict, index: int,
+                 derive_seed: bool = True) -> RunConfig:
+    """The config of sweep point `index`: base with the point's overrides.
+
+    Unless the point sets the seed, it gets mix64(base.seed, 1000 + index).
+    The overrides apply together, so only the whole point is validated.
+    """
+    fields = {}
+    for key, value in point.items():
+        if key == "loss_masks":
+            fields[key] = MASK_NAMES[value] if isinstance(value, str) else LossMasks(**value)
+        elif key == "severity":
+            if base.corruption is None:
+                raise ValueError("severity override requires a corruption spec")
+            fields["corruption"] = CorruptionSpec(base.corruption.kind, int(value))
+        elif key == "stream_order":
+            fields["stream"] = replace(base.stream, order=value)
+        elif key in ("strategy", "lam_col", "tau_steps", "tau_step_size", "seed",
+                     "pretrain_epochs", "n_per_class"):
+            fields[key] = value
+        else:
+            raise ValueError(f"unknown sweep key: {key!r}")
+    if derive_seed and "seed" not in point:
+        fields["seed"] = mix64(base.seed, 1000 + index)
+    return replace(base, **fields)
+
+
 def apply_override(config: RunConfig, key: str, value) -> RunConfig:
-    if key == "loss_masks":
-        masks = MASK_NAMES[value] if isinstance(value, str) else LossMasks(**value)
-        return replace(config, loss_masks=masks)
-    if key == "severity":
-        if config.corruption is None:
-            raise ValueError("severity override requires a corruption spec")
-        return replace(config, corruption=CorruptionSpec(config.corruption.kind, int(value)))
-    if key == "stream_order":
-        return replace(config, stream=replace(config.stream, order=value))
-    if key in ("strategy", "lam_col", "tau_steps", "tau_step_size", "seed",
-               "pretrain_epochs", "n_per_class"):
-        return replace(config, **{key: value})
-    raise ValueError(f"unknown sweep key: {key!r}")
+    """config with the single sweep override key = value."""
+    return point_config(config, {key: value}, 0, derive_seed=False)
 
 
 def sweep_points(grid: dict[str, list]) -> list[dict]:
@@ -392,13 +410,10 @@ def sweep_points(grid: dict[str, list]) -> list[dict]:
 
 def ablation_sweep(base: RunConfig, grid: dict[str, list],
                    derive_seeds: bool = True) -> list[tuple[dict, RunReport]]:
-    """Cartesian-product sweep; each point gets a derived deterministic seed."""
-    results = []
-    for index, point in enumerate(sweep_points(grid)):
-        cfg = base
-        for k, v in point.items():
-            cfg = apply_override(cfg, k, v)
-        if derive_seeds and "seed" not in point:
-            cfg = replace(cfg, seed=mix64(base.seed, 1000 + index))
-        results.append((point, run(cfg)))
-    return results
+    """Cartesian-product sweep; each point gets a derived deterministic seed.
+
+    Every point's config is validated before the first run starts.
+    """
+    points = sweep_points(grid)
+    configs = [point_config(base, p, i, derive_seeds) for i, p in enumerate(points)]
+    return [(p, run(cfg)) for p, cfg in zip(points, configs)]

@@ -536,10 +536,41 @@ class TestCascade:
             m.set_trainable(norm_only=True)
         return out
 
-    def test_requires_three_models(self):
+    def test_rejects_single_model(self):
+        ms = self.models3()[:1]
+        with pytest.raises(ValueError, match=">= 2 models"):
+            multi_model_step(ms, [], np.zeros((4, 6)), [])
+
+    def test_two_models_are_one_pairing(self):
         ms = self.models3()[:2]
-        with pytest.raises(ValueError):
-            multi_model_step(ms, [TauState()], np.zeros((4, 6)), [])
+        batch = np.random.default_rng(32).standard_normal((16, 6))
+        opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
+        out = multi_model_step(ms, [TauState(steps=0)], batch, opts)
+        with Tape():
+            logits = [forward_logits(m, Tensor(batch)).data for m in ms]
+        assert np.array_equal(out.ensemble.p_e, ensemble(logits[0], logits[1], tau=1.0).p_e)
+        assert out.taus == [1.0]
+
+    def test_three_models_record_four_objective_nodes(self, monkeypatch):
+        # one ensemble node for the inner pairing (the topmost ensemble feeds
+        # no pairing), one objective node per pairing, one add
+        ms = self.models3()
+        batch = np.random.default_rng(33).standard_normal((16, 6))
+        with Tape() as tape:
+            for m in ms:
+                forward_logits(m, Tensor(batch))
+            forward_nodes = len(tape)
+        seen = []
+        real_backward = ad.backward
+
+        def counting_backward(loss):
+            seen.append(len(ad.active_tape()))
+            real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", counting_backward)
+        opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
+        multi_model_step(ms, [TauState(), TauState()], batch, opts)
+        assert seen == [forward_nodes + 4]
 
     def test_tau_state_count_checked(self):
         ms = self.models3()

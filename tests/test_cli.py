@@ -1,6 +1,7 @@
 """End-to-end exercises of the command-line interface."""
 
 import concurrent.futures
+import csv
 import json
 import os
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coca_tta import harness, models
 from coca_tta.cli import ConfigError, main, validate_config
 from coca_tta.shiftgen import load_dataset
 
@@ -69,6 +71,22 @@ class TestValidateConfig:
         assert "loss_masks" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        {"lam_col": -0.5},
+        {"lam_col": 0.0, "loss_masks": {"sa": False, "mar": True, "ckd": True}},
+        {"tau_min": 0.0},
+        {"tau_min": 10.0, "tau_max": 1.0},
+        {"collapse_threshold": 1.5},
+        {"filter_threshold_factor": -0.1},
+    ], ids=["lam_col", "zero_objective", "tau_min", "tau_order", "collapse", "filter"])
+    def test_rejects_out_of_range_values(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError):
+            validate_config(json.loads(cfg.read_text()))
+        assert main(["adapt", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPretrainAdaptReport:
     def test_full_pipeline(self, tmp_path, capsys):
@@ -95,6 +113,21 @@ class TestPretrainAdaptReport:
         lines = plot.read_text().splitlines()
         assert lines[0] == "series,x,y"
         assert any("acc_combined" in ln for ln in lines[1:])
+
+    def test_pretrain_checkpoints_match_prepare_models(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        assert main(["pretrain", str(cfg_path), "--out", str(ckpt)]) == 0
+        cfg = validate_config(json.loads(cfg_path.read_text()))
+        expected = harness.prepare_models(cfg)
+        for i, model in enumerate(expected):
+            loaded = models.load_checkpoint(str(ckpt / f"model_{i}.ckpt"))
+            assert list(loaded.params) == list(model.params)
+            for name, p in model.params.items():
+                assert loaded.params[name].data.tobytes() == p.data.tobytes()
+        log = json.loads((ckpt / "training_log.json").read_text())
+        assert log["config"] == cfg.to_dict()
+        assert log["logs"] == json.loads(json.dumps(harness.pretrain_models(cfg)[1]))
 
     def test_pipeline_is_reproducible(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -144,6 +177,21 @@ class TestSweep:
         assert (out / "run_000" / "report.json").exists()
         assert (out / "run_001" / "metrics.csv").exists()
 
+    def test_summary_matches_ablation_sweep(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        grid = {"lam_col": [0.5, 1.0], "stream_order": ["iid_shuffled", "label_sorted"]}
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg_path), "--grid", str(tmp_path / "grid.json"),
+                     "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        cfg = validate_config(json.loads(cfg_path.read_text()))
+        expected = harness.ablation_sweep(cfg, grid)
+        assert [json.loads(r["point"]) for r in rows] == [p for p, _ in expected]
+        assert [r["acc_combined"] for r in rows] == [
+            format(rep.acc_combined, ".12g") for _, rep in expected]
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path)
         grid = tmp_path / "grid.json"
@@ -187,6 +235,16 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--grid", str(grid),
                      "--out", str(tmp_path / "sweep"), "--parallel", "8"]) == 0
         assert requested == [2]
+
+    def test_invalid_point_fails_before_any_run(self, tmp_path, capsys):
+        # lam_col = 0 with only "mar" on is an identically zero objective
+        cfg = write_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam_col": [1.0, 0.0], "loss_masks": ["mar"]}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out", str(out)]) == 1
+        assert "identically 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_returns_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

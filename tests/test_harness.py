@@ -80,6 +80,32 @@ class TestRunConfig:
             apply_override(small_config(), "loss_masks",
                            {"sa": False, "mar": False, "ckd": False})
 
+    @pytest.mark.parametrize("lam_col", [-0.5, float("nan")])
+    def test_rejects_negative_lam_col(self, lam_col):
+        with pytest.raises(ValueError, match="lam_col"):
+            small_config(lam_col=lam_col)
+
+    def test_rejects_identically_zero_objective(self):
+        # lam_col = 0 with sa off leaves no term: the run would adapt nothing
+        for name in ("mar", "ckd", "mar+ckd"):
+            with pytest.raises(ValueError, match="identically 0"):
+                small_config(lam_col=0.0, loss_masks=MASK_NAMES[name])
+        assert small_config(lam_col=0.0, loss_masks=MASK_NAMES["sa"]).lam_col == 0.0
+
+    @pytest.mark.parametrize("tau_min,tau_max", [(0.0, 1e3), (-1.0, 1e3), (5.0, 5.0),
+                                                 (10.0, 1.0), (float("nan"), 1e3)])
+    def test_rejects_bad_tau_range(self, tau_min, tau_max):
+        with pytest.raises(ValueError, match="tau_min"):
+            small_config(tau_min=tau_min, tau_max=tau_max)
+
+    @pytest.mark.parametrize("name", ["collapse_threshold", "filter_threshold_factor"])
+    def test_thresholds_in_unit_interval(self, name):
+        for bad in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=name):
+                small_config(**{name: bad})
+        for ok in (0.0, 1.0):
+            assert getattr(small_config(**{name: ok}), name) == ok
+
 
 class TestMetricsRecord:
     def test_csv_row_with_values(self):
@@ -195,6 +221,24 @@ class TestSweeps:
     def test_apply_override_unknown_key(self):
         with pytest.raises(ValueError):
             apply_override(small_config(), "nonsense", 1)
+
+    def test_point_config_derives_seed_and_validates_whole_point(self):
+        base = small_config(seed=5, lam_col=0.0)
+        cfg = harness.point_config(base, {"loss_masks": "mar", "lam_col": 1.0}, 3)
+        assert cfg.seed == mix64(5, 1003)
+        assert (cfg.lam_col, cfg.loss_masks) == (1.0, MASK_NAMES["mar"])
+        assert harness.point_config(base, {"seed": 9}, 3).seed == 9
+        assert harness.point_config(base, {"tau_steps": 1}, 3, derive_seed=False).seed == 5
+        with pytest.raises(ValueError, match="identically 0"):
+            harness.point_config(base, {"loss_masks": "mar"}, 0)
+
+    def test_ablation_sweep_validates_every_point_first(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "run", lambda cfg: calls.append(cfg))
+        with pytest.raises(ValueError, match="identically 0"):
+            harness.ablation_sweep(small_config(), {"lam_col": [1.0, 0.0],
+                                                    "loss_masks": ["mar"]})
+        assert calls == []
 
     def test_mask_names_cover_all_seven(self):
         assert len(MASK_NAMES) == 7
