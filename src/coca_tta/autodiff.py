@@ -194,7 +194,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _record("add", (a, b), out, bwd)
 
@@ -393,7 +394,10 @@ def logsumexp(a) -> Tensor:
 def conv2d(x, w) -> Tensor:
     """3x3 convolution, stride 1, zero padding preserving spatial size.
 
-    x: (B, Cin, H, W); w: (Cout, Cin, 3, 3).
+    x: (B, Cin, H, W); w: (Cout, Cin, 3, 3). The work is done channel-last
+    by :func:`_conv3x3`; the input gradient is the same kernel applied to the
+    output gradient with the spatially flipped, channel-swapped kernel.
+    Gradients of inputs that do not require one are not computed.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -402,40 +406,41 @@ def conv2d(x, w) -> Tensor:
         raise ShapeError(f"conv2d: only 3x3 kernels supported, got {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: channel mismatch between input {x.shape} and kernel {w.shape}")
-    b, cin, h, wd = x.shape
-    cout = w.shape[0]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = _im2col3(xp, h, wd)            # (B, H, W, Cin*9)
-    wmat = w.data.reshape(cout, -1)       # (Cout, Cin*9)
-    out = cols @ wmat.T                   # (B, H, W, Cout)
-    out = out.transpose(0, 3, 1, 2)
+    cout, cin = w.shape[:2]
+    out, cols = _conv3x3(x.data.transpose(0, 2, 3, 1),
+                         w.data.transpose(0, 2, 3, 1).reshape(cout, -1))
+    if not w.requires_grad:
+        cols = None
 
     def bwd(g):
-        gmat = g.transpose(0, 2, 3, 1)                        # (B, H, W, Cout)
-        gw = np.tensordot(gmat, cols, axes=([0, 1, 2], [0, 1, 2]))  # (Cout, Cin*9)
-        gcols = gmat @ wmat                                   # (B, H, W, Cin*9)
-        gxp = _col2im3(gcols, b, cin, h, wd)
-        return gxp[:, :, 1:-1, 1:-1], gw.reshape(w.shape)
+        gn = g.transpose(0, 2, 3, 1)                          # (B, H, W, Cout)
+        gx = gw = None
+        if x.requires_grad:
+            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(cin, -1)
+            gx = _conv3x3(gn, wflip)[0].transpose(0, 3, 1, 2)
+        if w.requires_grad:
+            gw = np.tensordot(gn, cols, axes=([0, 1, 2], [0, 1, 2]))   # (Cout, 9*Cin)
+            gw = gw.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
+        return gx, gw
 
-    return _record("conv2d", (x, w), out, bwd)
-
-
-def _im2col3(xp: np.ndarray, h: int, w: int) -> np.ndarray:
-    b, c = xp.shape[:2]
-    cols = np.empty((b, h, w, c, 3, 3), dtype=np.float64)
-    for i in range(3):
-        for j in range(3):
-            cols[:, :, :, :, i, j] = xp[:, :, i:i + h, j:j + w].transpose(0, 2, 3, 1)
-    return cols.reshape(b, h, w, c * 9)
+    return _record("conv2d", (x, w), out.transpose(0, 3, 1, 2), bwd)
 
 
-def _col2im3(gcols: np.ndarray, b: int, c: int, h: int, w: int) -> np.ndarray:
-    g6 = gcols.reshape(b, h, w, c, 3, 3)
-    gxp = np.zeros((b, c, h + 2, w + 2), dtype=np.float64)
-    for i in range(3):
-        for j in range(3):
-            gxp[:, :, i:i + h, j:j + w] += g6[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return gxp
+def _conv3x3(xn: np.ndarray, wmat: np.ndarray):
+    """Channel-last 3x3 same convolution as one im2col copy and one matmul.
+
+    xn: (B, H, W, C), any strides; wmat: (Cout, 9*C) with columns ordered
+    (kh, kw, C). Returns the (B, H, W, Cout) output and the (B, H, W, 9*C)
+    columns. Channels are innermost in the columns, so the window copy moves
+    contiguous runs.
+    """
+    b, h, wd, c = xn.shape
+    xp = np.zeros((b, h + 2, wd + 2, c))
+    xp[:, 1:-1, 1:-1] = xn
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, wd, 9 * c)
+    out = cols.reshape(-1, 9 * c) @ wmat.T
+    return out.reshape(b, h, wd, -1), cols
 
 
 def _norm_axes(x: Tensor, op: str):
@@ -475,13 +480,15 @@ def batchnorm(x, scale, shift) -> Tensor:
     n = x.data.size // nfeat
 
     def bwd(g):
-        gs = (g * xhat).sum(axis=axes)
-        gb = g.sum(axis=axes)
-        gxhat = g * scale.data.reshape(ash)
-        gx = (inv / n) * (n * gxhat
-                          - gxhat.sum(axis=axes, keepdims=True)
-                          - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
-        return gx, gs.reshape(scale.shape), gb.reshape(shift.shape)
+        gs = (g * xhat).sum(axis=axes).reshape(scale.shape) if scale.requires_grad else None
+        gb = g.sum(axis=axes).reshape(shift.shape) if shift.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gxhat = g * scale.data.reshape(ash)
+            gx = (inv / n) * (n * gxhat
+                              - gxhat.sum(axis=axes, keepdims=True)
+                              - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
+        return gx, gs, gb
 
     return _record("batchnorm", (x, scale, shift), out, bwd)
 
@@ -504,13 +511,15 @@ def layernorm(x, scale, shift) -> Tensor:
 
     def bwd(g):
         red = tuple(range(x.data.ndim - 1))
-        gs = (g * xhat).sum(axis=red)
-        gb = g.sum(axis=red)
-        gxhat = g * sc
-        gx = (inv / nfeat) * (nfeat * gxhat
-                              - gxhat.sum(axis=-1, keepdims=True)
-                              - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True))
-        return gx, gs.reshape(scale.shape), gb.reshape(shift.shape)
+        gs = (g * xhat).sum(axis=red).reshape(scale.shape) if scale.requires_grad else None
+        gb = g.sum(axis=red).reshape(shift.shape) if shift.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gxhat = g * sc
+            gx = (inv / nfeat) * (nfeat * gxhat
+                                  - gxhat.sum(axis=-1, keepdims=True)
+                                  - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True))
+        return gx, gs, gb
 
     return _record("layernorm", (x, scale, shift), out, bwd)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, models, shiftgen
-from .harness import RunConfig, mix64, run, sweep_points
+from .harness import RunConfig, run, sweep_points
 
 _SCHEMA = {
     "": {"schema", "models", "task", "stream", "corruption", "strategy",
@@ -200,9 +200,7 @@ def cmd_report(args) -> int:
 
 def cmd_dataset_export(args) -> int:
     cfg = load_config(args.config, args.seed)
-    feats, labels = shiftgen.gen_source(cfg.task, cfg.n_per_class, mix64(cfg.seed, 3))
-    if cfg.corruption is not None:
-        feats = shiftgen.apply_corruption(feats, cfg.corruption, mix64(cfg.seed, 4))
+    feats, labels = harness.build_test_set(cfg)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     shiftgen.save_dataset(args.out, feats, labels)
     print(f"wrote {len(labels)} samples to {args.out}")

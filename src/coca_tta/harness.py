@@ -265,14 +265,20 @@ def prepare_models_cached(config: RunConfig) -> list[ModelHandle]:
     return [m.clone() for m in _PRETRAIN_CACHE[key]]
 
 
-def build_test_stream(config: RunConfig):
-    """Corrupted test set plus its stream iterator."""
+def build_test_set(config: RunConfig):
+    """Corrupted test features and labels that the run's stream draws from."""
     total = config.stream.total_samples
     c = config.task.num_classes
     n_per_class = max(1, math.ceil((total or c * 64) / c))
     feats, labels = gen_source(config.task, n_per_class, mix64(config.seed, 3))
     if config.corruption is not None:
         feats = apply_corruption(feats, config.corruption, mix64(config.seed, 4))
+    return feats, labels
+
+
+def build_test_stream(config: RunConfig):
+    """Corrupted test set plus its stream iterator."""
+    feats, labels = build_test_set(config)
     spec = replace(config.stream, seed=mix64(config.seed, 5))
     return make_stream(feats, labels, spec)
 

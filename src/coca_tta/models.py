@@ -8,6 +8,8 @@ bit-exactly through a little-endian binary format.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
@@ -274,10 +276,14 @@ def _write_u32(f: BinaryIO, v: int) -> None:
 
 
 def _read_u32(f: BinaryIO) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise CheckpointError("truncated checkpoint file")
-    return struct.unpack("<I", raw)[0]
+    return struct.unpack("<I", _read_exact(f, 4, "checkpoint file"))[0]
+
+
+def _read_exact(f: BinaryIO, size: int, what: str) -> bytes:
+    """Read ``size`` bytes, checking the size against the bytes left first."""
+    if size > os.fstat(f.fileno()).st_size - f.tell():
+        raise CheckpointError(f"truncated {what}")
+    return f.read(size)
 
 
 def save_checkpoint(model: ModelHandle, path: str) -> None:
@@ -309,13 +315,15 @@ def load_checkpoint(path: str) -> ModelHandle:
         version = _read_u32(f)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version: {version}")
-        meta_len = _read_u32(f)
-        meta_raw = f.read(meta_len)
-        if len(meta_raw) != meta_len:
-            raise CheckpointError("truncated checkpoint metadata")
-        meta = json.loads(meta_raw.decode("utf-8"))
-        spec = ModelSpec.from_dict(meta["spec"])
-        model = build_model(spec, int(meta["seed"]))
+        meta_raw = _read_exact(f, _read_u32(f), "checkpoint metadata")
+        try:
+            meta = json.loads(meta_raw.decode("utf-8"))
+            spec = ModelSpec.from_dict(meta["spec"])
+            seed = int(meta["seed"])
+            param_count = meta["param_count"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"bad checkpoint metadata: {exc}") from None
+        model = build_model(spec, seed)
         loaded = {}
         while True:
             raw = f.read(4)
@@ -323,14 +331,15 @@ def load_checkpoint(path: str) -> ModelHandle:
                 break
             if len(raw) != 4:
                 raise CheckpointError("truncated checkpoint blob header")
-            name_len = struct.unpack("<I", raw)[0]
-            name = f.read(name_len).decode("utf-8")
+            name_raw = _read_exact(f, struct.unpack("<I", raw)[0], "parameter name")
+            try:
+                name = name_raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"parameter name is not UTF-8: {name_raw!r}") from None
             rank = _read_u32(f)
-            dims = tuple(_read_u32(f) for _ in range(rank))
-            count = int(np.prod(dims)) if dims else 1
-            data = f.read(count * 8)
-            if len(data) != count * 8:
-                raise CheckpointError(f"truncated data for parameter {name!r}")
+            dims = struct.unpack(f"<{rank}I",
+                                 _read_exact(f, 4 * rank, f"shape of parameter {name!r}"))
+            data = _read_exact(f, 8 * math.prod(dims), f"data for parameter {name!r}")
             loaded[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
     if set(loaded) != set(model.params):
         raise CheckpointError("checkpoint parameter names do not match model spec")
@@ -338,6 +347,6 @@ def load_checkpoint(path: str) -> ModelHandle:
         if arr.shape != model.params[name].data.shape:
             raise CheckpointError(f"shape mismatch for parameter {name!r}")
         model.params[name].data = arr
-    if model.param_count != meta["param_count"]:
+    if model.param_count != param_count:
         raise CheckpointError("param_count mismatch in checkpoint metadata")
     return model

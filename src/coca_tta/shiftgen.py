@@ -6,6 +6,8 @@ Severity tables are artifact-defined and monotone in corruption strength.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterator
@@ -269,23 +271,22 @@ def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise DatasetError(f"unsupported dataset version: {version}")
         count = _read_u32(f)
         rank = _read_u32(f)
-        dims = tuple(_read_u32(f) for _ in range(rank))
+        dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dataset shape"))
         if not dims or dims[0] != count:
             raise DatasetError("dataset shape does not match sample count")
-        nfloat = int(np.prod(dims))
-        raw = f.read(nfloat * 8)
-        if len(raw) != nfloat * 8:
-            raise DatasetError("truncated dataset features")
+        raw = _read_exact(f, 8 * math.prod(dims), "dataset features")
         features = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-        raw = f.read(count * 4)
-        if len(raw) != count * 4:
-            raise DatasetError("truncated dataset labels")
+        raw = _read_exact(f, 4 * count, "dataset labels")
         labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
     return features, labels
 
 
 def _read_u32(f: BinaryIO) -> int:
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise DatasetError("truncated dataset file")
-    return struct.unpack("<I", raw)[0]
+    return struct.unpack("<I", _read_exact(f, 4, "dataset file"))[0]
+
+
+def _read_exact(f: BinaryIO, size: int, what: str) -> bytes:
+    """Read ``size`` bytes, checking the size against the bytes left first."""
+    if size > os.fstat(f.fileno()).st_size - f.tell():
+        raise DatasetError(f"truncated {what}")
+    return f.read(size)

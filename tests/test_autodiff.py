@@ -145,6 +145,94 @@ class TestReductionsAndShapes:
         check_op(ad.conv2d, [(2, 3, 5, 5), (4, 3, 3, 3)], n_cases=20)
 
 
+def conv_reference(x, w, g):
+    """Direct nested-loop 3x3 same convolution with its gradients for output grad g."""
+    b, _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.zeros((b, w.shape[0], h, wd))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for n in range(b):
+        for co in range(w.shape[0]):
+            for i in range(h):
+                for j in range(wd):
+                    patch = xp[n, :, i:i + 3, j:j + 3]
+                    out[n, co, i, j] = (patch * w[co]).sum()
+                    gxp[n, :, i:i + 3, j:j + 3] += g[n, co, i, j] * w[co]
+                    gw[co] += g[n, co, i, j] * patch
+    return out, gxp[:, :, 1:-1, 1:-1], gw
+
+
+def grads_with_frozen(op, arrays, frozen=(), seed=0):
+    """Gradients of a fixed projection of op(*arrays); inputs in ``frozen`` need none."""
+    tensors = [Tensor(a.copy(), requires_grad=i not in frozen) for i, a in enumerate(arrays)]
+    with Tape():
+        out = op(*tensors)
+        proj = np.random.default_rng(seed).standard_normal(out.shape)
+        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(proj))))
+    return [t.grad for t in tensors]
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("b,cin,cout,h,w", [
+        (1, 1, 4, 5, 7), (2, 3, 5, 6, 4), (3, 8, 3, 4, 5), (1, 8, 2, 3, 6), (2, 3, 1, 1, 2),
+    ])
+    def test_matches_nested_loop_reference(self, b, cin, cout, h, w):
+        rng = np.random.default_rng(cin * 100 + cout)
+        xa = rng.standard_normal((b, cin, h, w))
+        wa = rng.standard_normal((cout, cin, 3, 3))
+        ga = rng.standard_normal((b, cout, h, w))
+        x, k = Tensor(xa, requires_grad=True), Tensor(wa, requires_grad=True)
+        with Tape():
+            out = ad.conv2d(x, k)
+            ad.backward(ad.tensor_sum(ad.mul(out, Tensor(ga))))
+        ref_out, ref_gx, ref_gw = conv_reference(xa, wa, ga)
+        assert_rel_close(out.data, ref_out)
+        assert_rel_close(x.grad, ref_gx)
+        assert_rel_close(k.grad, ref_gw)
+
+    @pytest.mark.parametrize("frozen", [0, 1], ids=["x-frozen", "w-frozen"])
+    def test_frozen_input_gets_no_grad(self, frozen):
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal((2, 3, 5, 4)), rng.standard_normal((6, 3, 3, 3))]
+        full = grads_with_frozen(ad.conv2d, arrays)
+        part = grads_with_frozen(ad.conv2d, arrays, frozen=(frozen,))
+        assert part[frozen] is None
+        assert np.array_equal(part[1 - frozen], full[1 - frozen])
+
+
+class TestFrozenInputsGetNoGrad:
+    """Norm and add nodes skip the gradients of inputs that do not require one."""
+
+    @pytest.mark.parametrize("op,shapes", [
+        (ad.batchnorm, [(8, 5), (5,), (5,)]),
+        (ad.batchnorm, [(4, 3, 4, 5), (3,), (3,)]),
+        (ad.layernorm, [(6, 5), (5,), (5,)]),
+    ], ids=["batchnorm-2d", "batchnorm-4d", "layernorm"])
+    def test_norm_with_frozen_input(self, op, shapes):
+        rng = np.random.default_rng(7)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        full = grads_with_frozen(op, arrays)
+        part = grads_with_frozen(op, arrays, frozen=(0,))
+        assert part[0] is None
+        assert np.array_equal(part[1], full[1])
+        assert np.array_equal(part[2], full[2])
+
+    @pytest.mark.parametrize("frozen", [0, 1])
+    def test_add_with_frozen_operand(self, frozen):
+        rng = np.random.default_rng(8)
+        arrays = [rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((1, 3, 1, 1))]
+        full = grads_with_frozen(ad.add, arrays)
+        part = grads_with_frozen(ad.add, arrays, frozen=(frozen,))
+        assert part[frozen] is None
+        assert np.array_equal(part[1 - frozen], full[1 - frozen])
+
+
 class TestCocaObjectiveGrads:
     """Finite differences of the one-node COCA objective in both logit inputs."""
 

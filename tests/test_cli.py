@@ -263,16 +263,30 @@ class TestDatasetCommands:
         data = tmp_path / "corrupted.cocd"
         assert main(["dataset-export", str(cfg), "--out", str(data)]) == 0
         feats, labels = load_dataset(str(data))
-        assert len(labels) == 60 * 4
-        assert feats.shape == (240, 8)
+        assert len(labels) == 48 * 4          # total_samples 192 over 4 classes
+        assert feats.shape == (192, 8)
 
         summary_path = tmp_path / "summary.json"
         assert main(["dataset-import", "--in", str(data),
                      "--out", str(summary_path)]) == 0
         summary = json.loads(summary_path.read_text())
-        assert summary["count"] == 240
-        assert summary["class_histogram"] == [60, 60, 60, 60]
+        assert summary["count"] == 192
+        assert summary["class_histogram"] == [48, 48, 48, 48]
         assert summary["feature_shape"] == [8]
+
+    def test_export_holds_the_stream_test_set(self, tmp_path):
+        cfg = write_config(tmp_path)
+        data = tmp_path / "corrupted.cocd"
+        assert main(["dataset-export", str(cfg), "--out", str(data)]) == 0
+        feats, labels = load_dataset(str(data))
+        batches = list(harness.build_test_stream(validate_config(json.loads(cfg.read_text()))))
+        streamed = np.concatenate([xb for xb, _ in batches])
+        streamed_labels = np.concatenate([yb for _, yb in batches])
+        assert len(streamed) == len(feats)
+        # the stream visits every exported row once, in its own order
+        order, s_order = np.lexsort(feats.T), np.lexsort(streamed.T)
+        assert np.array_equal(feats[order], streamed[s_order])
+        assert np.array_equal(labels[order], streamed_labels[s_order])
 
     def test_import_rejects_garbage_file(self, tmp_path, capsys):
         junk = tmp_path / "junk.bin"

@@ -1,7 +1,12 @@
 """Model construction, training, ranking, and checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coca_tta import autodiff as ad
 from coca_tta.autodiff import ShapeError, Tape, Tensor
@@ -314,3 +319,64 @@ class TestCheckpoint:
             f.write(data)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def u32(*values):
+    return struct.pack(f"<{len(values)}I", *values)
+
+
+class TestCheckpointReaderRejectsBadInput:
+    """Malformed checkpoints raise CheckpointError without reading past the file."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("ckpt") / "f.ckpt"
+
+    @pytest.fixture(scope="class")
+    def prefix(self, path):
+        """Magic, version and metadata of a valid checkpoint, without its blobs."""
+        save_checkpoint(build_model(small_spec(hidden=(2,), dims=2), seed=0), str(path))
+        data = path.read_bytes()
+        return data[:12 + struct.unpack("<I", data[8:12])[0]]
+
+    @staticmethod
+    def load_bytes(path, data):
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_non_utf8_name(self, prefix, path):
+        self.load_bytes(path, prefix + u32(2) + b"\xff\xfe" + u32(0) + bytes(8))
+
+    def test_shape_product_beyond_int64(self, prefix, path):
+        # 2**21 * 2**21 * 2**22 == 2**64 wraps to 0 in int64 arithmetic
+        self.load_bytes(path,
+                        prefix + u32(1) + b"w" + u32(3, 2**21, 2**21, 2**22))
+
+    @pytest.mark.parametrize("meta", [b"\xff{}", b"{not json", b"[1, 2]", b"{}",
+                                      json.dumps({"spec": [1], "seed": 0}).encode()])
+    def test_bad_metadata(self, meta, path):
+        self.load_bytes(path, CHECKPOINT_MAGIC + u32(1, len(meta)) + meta)
+
+    @given(name_len=st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1)),
+           name=st.binary(max_size=40),
+           rank=st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
+           dims=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)), max_size=4),
+           payload=st.binary(max_size=128))
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_fuzzed_blob_header(self, prefix, path, name_len, name, rank,
+                                dims, payload):
+        self.load_bytes(path,
+                        prefix + u32(name_len) + name + u32(rank, *dims) + payload)
+
+    @given(meta=st.one_of(
+               st.binary(max_size=64),
+               st.dictionaries(st.sampled_from(["spec", "seed", "param_count"]),
+                               st.one_of(st.none(), st.integers(), st.text(max_size=4),
+                                         st.lists(st.integers(), max_size=3)))
+               .map(lambda d: json.dumps(d).encode())),
+           meta_len=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_fuzzed_metadata(self, path, meta, meta_len):
+        size = len(meta) if meta_len is None else meta_len
+        self.load_bytes(path, CHECKPOINT_MAGIC + u32(1, size) + meta)

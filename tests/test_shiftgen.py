@@ -1,7 +1,11 @@
 """Task generators, corruption operators, stream ordering, and dataset IO."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coca_tta.shiftgen import (CONTRAST_SCALE, DATASET_MAGIC, CorruptionSpec,
                                DatasetError, GAUSSIAN_NOISE_STD, SourceTask,
@@ -249,3 +253,42 @@ class TestDatasetIO:
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             save_dataset(str(tmp_path / "d.cocd"), np.zeros((3, 2)), np.zeros(2, dtype=int))
+
+
+class TestDatasetReaderRejectsBadInput:
+    """Malformed dataset files raise DatasetError without reading past the file."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cocd") / "f.cocd"
+
+    @staticmethod
+    def header(count, dims):
+        return DATASET_MAGIC + struct.pack(f"<{3 + len(dims)}I", 1, count, len(dims), *dims)
+
+    def test_shape_product_beyond_int64(self, path):
+        # 2**21 * 2**21 * 2**22 == 2**64 wraps to 0 in int64 arithmetic
+        path.write_bytes(self.header(2**21, (2**21, 2**21, 2**22)))
+        with pytest.raises(DatasetError):
+            load_dataset(str(path))
+
+    def test_oversized_rank(self, path):
+        path.write_bytes(DATASET_MAGIC + struct.pack("<3I", 1, 2, 2**32 - 1) + bytes(16))
+        with pytest.raises(DatasetError):
+            load_dataset(str(path))
+
+    @given(count=st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
+           rank=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+           dims=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)), max_size=4),
+           payload=st.binary(max_size=160))
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    def test_fuzzed_header(self, path, count, rank, dims, payload):
+        head = self.header(count, dims)
+        if rank is not None:
+            head = head[:12] + struct.pack("<I", rank) + head[16:]
+        path.write_bytes(head + payload)
+        try:
+            feats, labels = load_dataset(str(path))
+        except DatasetError:
+            return
+        assert feats.shape == tuple(dims) and labels.shape == (count,)
