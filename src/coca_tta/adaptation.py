@@ -9,7 +9,7 @@ models, a cascade of pairings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ class TauState:
     tau_min: float = 1e-2
     tau_max: float = 1e3
     logit_clamp: float = 20.0
-    trajectory: list[float] = field(default_factory=list)
 
     def clamped(self, tau: float) -> float:
         return float(min(max(tau, self.tau_min), self.tau_max))
@@ -144,7 +143,6 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
                 break
             delta *= 0.5
     state.tau = state.clamped(tau)
-    state.trajectory.append(state.tau)
     return state
 
 

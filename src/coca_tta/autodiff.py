@@ -284,7 +284,10 @@ def linear(x, w, b) -> Tensor:
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
-    out = np.where(mask, a.data, 0.0)
+    # fmax maps NaN to 0 like the mask does; adding +0.0 turns the -0.0 that
+    # fmax may keep into +0.0, so the output equals np.where(mask, a, 0.0)
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
 
     def bwd(g):
         return (g * mask,)
@@ -396,7 +399,9 @@ def conv2d(x, w) -> Tensor:
 
     x: (B, Cin, H, W); w: (Cout, Cin, 3, 3). The work is done channel-last
     by :func:`_conv3x3`; the input gradient is the same kernel applied to the
-    output gradient with the spatially flipped, channel-swapped kernel.
+    output gradient with the spatially flipped, channel-swapped kernel. The
+    output and the input gradient are copied back to C-contiguous NCHW, so
+    the elementwise ops after a convolution run over contiguous memory.
     Gradients of inputs that do not require one are not computed.
     """
     x, w = _as_tensor(x), _as_tensor(w)
@@ -417,13 +422,13 @@ def conv2d(x, w) -> Tensor:
         gx = gw = None
         if x.requires_grad:
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(cin, -1)
-            gx = _conv3x3(gn, wflip)[0].transpose(0, 3, 1, 2)
+            gx = np.ascontiguousarray(_conv3x3(gn, wflip)[0].transpose(0, 3, 1, 2))
         if w.requires_grad:
             gw = np.tensordot(gn, cols, axes=([0, 1, 2], [0, 1, 2]))   # (Cout, 9*Cin)
             gw = gw.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
         return gx, gw
 
-    return _record("conv2d", (x, w), out.transpose(0, 3, 1, 2), bwd)
+    return _record("conv2d", (x, w), np.ascontiguousarray(out.transpose(0, 3, 1, 2)), bwd)
 
 
 def _conv3x3(xn: np.ndarray, wmat: np.ndarray):
@@ -472,10 +477,10 @@ def batchnorm(x, scale, shift) -> Tensor:
         raise ShapeError(
             f"batchnorm: affine shapes {scale.shape}/{shift.shape} do not match {nfeat} features")
     ash = _affine_shape(x, nfeat)
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _EPS_NORM)
-    xhat = (x.data - mu) * inv
+    # one centering pass; var = mean(xc * xc) is what np.var computes
+    xc = x.data - x.data.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + _EPS_NORM)
+    xhat = xc * inv
     out = xhat * scale.data.reshape(ash) + shift.data.reshape(ash)
     n = x.data.size // nfeat
 
@@ -502,10 +507,9 @@ def layernorm(x, scale, shift) -> Tensor:
     if scale.data.size != nfeat or shift.data.size != nfeat:
         raise ShapeError(
             f"layernorm: affine shapes {scale.shape}/{shift.shape} do not match {nfeat} features")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _EPS_NORM)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _EPS_NORM)
+    xhat = xc * inv
     sc = scale.data.reshape((1,) * (x.data.ndim - 1) + (nfeat,))
     out = xhat * sc + shift.data.reshape(sc.shape)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import ctypes
 import json
 import os
 import sys
@@ -137,6 +138,21 @@ def _sweep_one(cfg_dict: dict, point: dict, index: int, out_dir: str) -> dict:
     }
 
 
+def _one_blas_thread() -> None:
+    """Sweep worker initializer: limit numpy's bundled OpenBLAS to one thread.
+
+    Each worker would otherwise start one BLAS thread per core, so N workers
+    oversubscribe the machine N-fold. Does nothing without that library.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*")):
+        set_threads = getattr(ctypes.CDLL(str(lib_path)),
+                              "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 def cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
@@ -154,7 +170,8 @@ def cmd_sweep(args) -> int:
     # changes results; workers beyond the number of points would idle
     workers = min(args.parallel, len(points))
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                    initializer=_one_blas_thread) as pool:
             futures = {pool.submit(_sweep_one, cfg_dict, p, i, str(out)): i
                        for i, p in enumerate(points)}
             for fut in concurrent.futures.as_completed(futures):

@@ -44,6 +44,8 @@ class ModelSpec:
             raise ValueError(f"unsupported norm kind: {self.norm_kind!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
+        if min(self.input_shape + tuple(self.hidden_sizes), default=1) < 1:
+            raise ValueError("input_shape and hidden_sizes must be positive")
         if self.kind == "mlp":
             if len(self.input_shape) != 1:
                 raise ValueError("mlp input_shape must be 1-D")
@@ -119,6 +121,25 @@ def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter of ``spec``, in declaration order.
+
+    Allocates nothing, so a checkpoint reader can size a spec before building it.
+    """
+    conv = spec.kind == "convnet"
+    sizes = [spec.input_shape[0], *spec.hidden_sizes]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i, (cin, width) in enumerate(zip(sizes, sizes[1:])):
+        prefix = f"block{i}" if conv else f"layer{i}"
+        shapes[f"{prefix}.weight"] = (width, cin, 3, 3) if conv else (cin, width)
+        for part in ("bias", "norm_scale", "norm_shift"):
+            shapes[f"{prefix}.{part}"] = (width,)
+    head_in = sizes[-1] * math.prod(spec.input_shape[1:])
+    shapes["head.weight"] = (head_in, spec.num_classes)
+    shapes["head.bias"] = (spec.num_classes,)
+    return shapes
+
+
 def build_model(spec: ModelSpec, seed: int) -> ModelHandle:
     """Initialize a model deterministically from (spec, seed).
 
@@ -127,35 +148,17 @@ def build_model(spec: ModelSpec, seed: int) -> ModelHandle:
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
     norm_names: list[str] = []
-
-    def param(name, data):
+    for name, shape in param_shapes(spec).items():
+        part = name.rsplit(".", 1)[1]
+        if part == "weight":
+            # fan-in: rows of a dense weight, Cin * 3 * 3 of a conv kernel
+            fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
+            data = _he_uniform(rng, shape, fan_in)
+        else:
+            data = np.ones(shape) if part == "norm_scale" else np.zeros(shape)
+            if part.startswith("norm_"):
+                norm_names.append(name)
         params[name] = Tensor(data, requires_grad=True)
-
-    if spec.kind == "mlp":
-        in_dim = spec.input_shape[0]
-        for i, width in enumerate(spec.hidden_sizes):
-            param(f"layer{i}.weight", _he_uniform(rng, (in_dim, width), in_dim))
-            param(f"layer{i}.bias", np.zeros(width))
-            param(f"layer{i}.norm_scale", np.ones(width))
-            param(f"layer{i}.norm_shift", np.zeros(width))
-            norm_names += [f"layer{i}.norm_scale", f"layer{i}.norm_shift"]
-            in_dim = width
-        param("head.weight", _he_uniform(rng, (in_dim, spec.num_classes), in_dim))
-        param("head.bias", np.zeros(spec.num_classes))
-    else:
-        cin = spec.input_shape[0]
-        for i, cout in enumerate(spec.hidden_sizes):
-            fan_in = cin * 9
-            param(f"block{i}.weight", _he_uniform(rng, (cout, cin, 3, 3), fan_in))
-            param(f"block{i}.bias", np.zeros(cout))
-            param(f"block{i}.norm_scale", np.ones(cout))
-            param(f"block{i}.norm_shift", np.zeros(cout))
-            norm_names += [f"block{i}.norm_scale", f"block{i}.norm_shift"]
-            cin = cout
-        flat = spec.hidden_sizes[-1] * spec.input_shape[1] * spec.input_shape[2]
-        param("head.weight", _he_uniform(rng, (flat, spec.num_classes), flat))
-        param("head.bias", np.zeros(spec.num_classes))
-
     return ModelHandle(spec, params, norm_names, int(seed))
 
 
@@ -323,6 +326,12 @@ def load_checkpoint(path: str) -> ModelHandle:
             param_count = meta["param_count"]
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"bad checkpoint metadata: {exc}") from None
+        # size the spec before building it, so a forged spec allocates nothing
+        count = sum(math.prod(shape) for shape in param_shapes(spec).values())
+        if count != param_count:
+            raise CheckpointError("param_count mismatch in checkpoint metadata")
+        if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
+            raise CheckpointError(f"truncated checkpoint: {count} parameters declared")
         model = build_model(spec, seed)
         loaded = {}
         while True:
@@ -347,6 +356,4 @@ def load_checkpoint(path: str) -> ModelHandle:
         if arr.shape != model.params[name].data.shape:
             raise CheckpointError(f"shape mismatch for parameter {name!r}")
         model.params[name].data = arr
-    if model.param_count != param_count:
-        raise CheckpointError("param_count mismatch in checkpoint metadata")
     return model

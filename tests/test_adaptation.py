@@ -97,13 +97,6 @@ class TestLearnTau:
         learn_tau(state, np.tile([2.0, 0.0], (4, 1)), np.tile([8.0, 0.0], (4, 1)))
         assert 0.5 <= state.tau <= 1.5
 
-    def test_appends_trajectory_once_per_call(self):
-        state = TauState()
-        z = np.ones((4, 3))
-        for i in range(3):
-            learn_tau(state, z, z)
-            assert len(state.trajectory) == i + 1
-
     def test_zero_steps_is_identity(self):
         state = TauState(steps=0)
         learn_tau(state, np.ones((4, 3)), 2 * np.ones((4, 3)))

@@ -233,6 +233,66 @@ class TestFrozenInputsGetNoGrad:
         assert np.array_equal(part[1 - frozen], full[1 - frozen])
 
 
+def var_formula_norm(x, scale, shift, axes, ash):
+    """Normalization written with np.mean and np.var, the reference formula."""
+    mu = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    xhat = (x - mu) * (1.0 / np.sqrt(var + ad._EPS_NORM))
+    return xhat * scale.reshape(ash) + shift.reshape(ash)
+
+
+class TestConvBlockKernels:
+    """relu, the norms and conv2d keep their values while changing their kernels."""
+
+    SPECIALS = [-0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+
+    def test_relu_forward_byte_equal_to_where(self):
+        # lengths past numpy's SIMD width reach both the vector loop and the
+        # scalar tail; a bare np.fmax keeps -0.0 in the tail
+        rng = np.random.default_rng(11)
+        for n in range(1, 71):
+            base = rng.uniform(-1.0, 1.0, size=2 * n)
+            for special in self.SPECIALS:
+                for pos in range(n):
+                    for a in (base[:n].copy(), base.copy()[::2]):
+                        a[pos] = special
+                        out = ad.relu(Tensor(a)).data
+                        assert out.tobytes() == np.where(a > 0, a, 0.0).tobytes(), (n, special, pos)
+
+    @pytest.mark.parametrize("shape,axes,ash,layout", [
+        ((8, 5), (0,), (1, 5), None),
+        ((4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), None),
+        ((4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), (0, 3, 1, 2)),
+    ], ids=["2d", "4d", "4d-channel-last-memory"])
+    def test_batchnorm_forward_byte_equal_to_var_formula(self, shape, axes, ash, layout):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        if layout is not None:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(layout)
+        scale, shift = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+        out = ad.batchnorm(Tensor(x), Tensor(scale), Tensor(shift)).data
+        assert out.tobytes() == var_formula_norm(x, scale, shift, axes, ash).tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 5), (2, 3, 7)])
+    def test_layernorm_forward_byte_equal_to_var_formula(self, shape):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        scale, shift = rng.standard_normal(shape[-1]), rng.standard_normal(shape[-1])
+        out = ad.layernorm(Tensor(x), Tensor(scale), Tensor(shift)).data
+        ash = (1,) * (len(shape) - 1) + (shape[-1],)
+        assert out.tobytes() == var_formula_norm(x, scale, shift, -1, ash).tobytes()
+
+    def test_conv2d_output_and_input_grad_are_c_contiguous(self):
+        rng = np.random.default_rng(14)
+        x = Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((6, 3, 3, 3)))
+        with Tape():
+            out = ad.conv2d(x, w)
+            ad.backward(ad.tensor_sum(out))
+        assert out.data.flags.c_contiguous
+        assert x.grad.flags.c_contiguous
+
+
 class TestCocaObjectiveGrads:
     """Finite differences of the one-node COCA objective in both logit inputs."""
 

@@ -2,16 +2,33 @@
 
 import concurrent.futures
 import csv
+import ctypes
 import json
+import multiprocessing
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coca_tta import harness, models
+from coca_tta import cli, harness, models
 from coca_tta.cli import ConfigError, main, validate_config
 from coca_tta.shiftgen import load_dataset
+
+
+def blas_thread_getter():
+    """numpy's bundled OpenBLAS thread-count getter, or None without one."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*")):
+        fn = getattr(ctypes.CDLL(str(lib_path)), "scipy_openblas_get_num_threads64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn
+    return None
+
+
+def worker_blas_threads() -> int:
+    return blas_thread_getter()()
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -224,8 +241,9 @@ class TestSweep:
         requested = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 requested.append(max_workers)
+                assert initializer is cli._one_blas_thread
                 super().__init__(max_workers=1)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -235,6 +253,16 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--grid", str(grid),
                      "--out", str(tmp_path / "sweep"), "--parallel", "8"]) == 0
         assert requested == [2]
+
+    def test_workers_run_one_blas_thread(self):
+        get_threads = blas_thread_getter()
+        if get_threads is None:
+            pytest.skip("numpy's bundled OpenBLAS does not export its thread count")
+        # a spawned worker starts from OpenBLAS's default thread count
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=1, mp_context=multiprocessing.get_context("spawn"),
+                initializer=cli._one_blas_thread) as pool:
+            assert pool.submit(worker_blas_threads).result() == 1
 
     def test_invalid_point_fails_before_any_run(self, tmp_path, capsys):
         # lam_col = 0 with only "mar" on is an identically zero objective

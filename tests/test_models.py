@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from coca_tta.autodiff import ShapeError, Tape, Tensor
 from coca_tta.models import (CHECKPOINT_MAGIC, CheckpointError, ModelSpec,
                              anchor_select, build_model, cross_entropy_mean,
                              evaluate_clean_accuracy, forward_logits,
-                             load_checkpoint, pretrain, save_checkpoint)
+                             load_checkpoint, param_shapes, pretrain, save_checkpoint)
 from coca_tta.shiftgen import SourceTask, gen_source
 
 
@@ -63,6 +64,15 @@ class TestBuildModel:
                          norm_kind="batchnorm", num_classes=2)
         model = build_model(spec, seed=0)
         assert model.param_count == 48 + 156 + (4 * 8 * 8 * 2 + 2)
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(hidden=(3, 5)),
+        ModelSpec(kind="convnet", input_shape=(2, 5, 4), hidden_sizes=[3, 6],
+                  norm_kind="batchnorm", num_classes=3),
+    ], ids=["mlp", "convnet"])
+    def test_param_shapes_are_the_built_shapes(self, spec):
+        model = build_model(spec, seed=0)
+        assert [(n, p.shape) for n, p in model.params.items()] == list(param_shapes(spec).items())
 
     def test_deterministic_init(self):
         a = build_model(small_spec(), seed=11)
@@ -339,19 +349,25 @@ class TestCheckpointReaderRejectsBadInput:
         data = path.read_bytes()
         return data[:12 + struct.unpack("<I", data[8:12])[0]]
 
+    @pytest.fixture(scope="class")
+    def tail(self):
+        """Zero bytes as many as the prefix's parameters need, so a forged blob
+        header after the prefix reaches the blob reader, not the size check."""
+        return bytes(8 * build_model(small_spec(hidden=(2,), dims=2), seed=0).param_count)
+
     @staticmethod
     def load_bytes(path, data):
         path.write_bytes(data)
         with pytest.raises(CheckpointError):
             load_checkpoint(str(path))
 
-    def test_non_utf8_name(self, prefix, path):
-        self.load_bytes(path, prefix + u32(2) + b"\xff\xfe" + u32(0) + bytes(8))
+    def test_non_utf8_name(self, prefix, tail, path):
+        self.load_bytes(path, prefix + u32(2) + b"\xff\xfe" + u32(0) + bytes(8) + tail)
 
-    def test_shape_product_beyond_int64(self, prefix, path):
+    def test_shape_product_beyond_int64(self, prefix, tail, path):
         # 2**21 * 2**21 * 2**22 == 2**64 wraps to 0 in int64 arithmetic
         self.load_bytes(path,
-                        prefix + u32(1) + b"w" + u32(3, 2**21, 2**21, 2**22))
+                        prefix + u32(1) + b"w" + u32(3, 2**21, 2**21, 2**22) + tail)
 
     @pytest.mark.parametrize("meta", [b"\xff{}", b"{not json", b"[1, 2]", b"{}",
                                       json.dumps({"spec": [1], "seed": 0}).encode()])
@@ -364,10 +380,10 @@ class TestCheckpointReaderRejectsBadInput:
            dims=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)), max_size=4),
            payload=st.binary(max_size=128))
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-    def test_fuzzed_blob_header(self, prefix, path, name_len, name, rank,
+    def test_fuzzed_blob_header(self, prefix, tail, path, name_len, name, rank,
                                 dims, payload):
         self.load_bytes(path,
-                        prefix + u32(name_len) + name + u32(rank, *dims) + payload)
+                        prefix + u32(name_len) + name + u32(rank, *dims) + payload + tail)
 
     @given(meta=st.one_of(
                st.binary(max_size=64),
@@ -380,3 +396,35 @@ class TestCheckpointReaderRejectsBadInput:
     def test_fuzzed_metadata(self, path, meta, meta_len):
         size = len(meta) if meta_len is None else meta_len
         self.load_bytes(path, CHECKPOINT_MAGIC + u32(1, size) + meta)
+
+    @staticmethod
+    def forged_spec_file(path, param_count):
+        """Metadata declaring an MLP 1500 -> 1500 -> 2 and no parameter data."""
+        spec = ModelSpec(kind="mlp", input_shape=(1500,), hidden_sizes=[1500],
+                         norm_kind="batchnorm", num_classes=2)
+        meta = json.dumps({"spec": spec.to_dict(), "seed": 0,
+                           "param_count": param_count}).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + u32(1, len(meta)) + meta)
+
+    @pytest.mark.parametrize("param_count", [1500 * 1500 + 3 * 1500 + 1500 * 2 + 2, 8],
+                             ids=["declared-count-matches-spec", "declared-count-differs"])
+    def test_forged_spec_rejected_before_allocating(self, path, param_count):
+        self.forged_spec_file(path, param_count)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "mlp", "input_shape": [0], "hidden_sizes": [4]},
+        {"kind": "mlp", "input_shape": [3], "hidden_sizes": [4, -2]},
+        {"kind": "convnet", "input_shape": [3, 0, 4], "hidden_sizes": [2, 2]},
+    ])
+    def test_non_positive_sizes_rejected(self, path, spec):
+        spec = dict(spec, norm_kind="batchnorm", num_classes=2)
+        meta = json.dumps({"spec": spec, "seed": 0, "param_count": 0}).encode()
+        self.load_bytes(path, CHECKPOINT_MAGIC + u32(1, len(meta)) + meta)
