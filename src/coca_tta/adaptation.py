@@ -9,6 +9,7 @@ models, a cascade of pairings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +30,13 @@ class TauState:
     tau_max: float = 1e3
     logit_clamp: float = 20.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
+
     def clamped(self, tau: float) -> float:
+        if math.isnan(tau):
+            raise ValueError("tau candidate is NaN")
         return float(min(max(tau, self.tau_min), self.tau_max))
 
 
@@ -131,7 +138,7 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
     for _ in range(state.steps):
         scaled, es, cur_loss = cur
         g = _tau_grad(ea, p_s, scaled, es, tau, clamp)
-        if g == 0.0:
+        if g == 0.0 or not math.isfinite(g):  # a non-finite g has no direction
             continue
         direction = -np.sign(g)
         delta = trust * (tau if direction > 0 else 0.5 * tau)

@@ -550,6 +550,3 @@ class SGD:
             v += p.grad
             p.data -= self.lr * v
             p.grad = None
-
-    def zero_grad(self) -> None:
-        zero_grads(self.params)

@@ -107,9 +107,6 @@ class ModelHandle:
         params = {n: _clone_param(p) for n, p in self.params.items()}
         return ModelHandle(self.spec, params, list(self.norm_param_names), self.seed)
 
-    def forward(self, batch: Tensor) -> Tensor:
-        return forward_logits(self, batch)
-
 
 def _clone_param(p: Tensor) -> Tensor:
     q = Tensor(p.data.copy(), requires_grad=p.requires_grad)
@@ -193,16 +190,31 @@ def forward_logits(model: ModelHandle, batch: Tensor) -> Tensor:
 
 
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of softmax(logits) against integer labels."""
+    """Mean cross-entropy of softmax(logits) against integer labels, as one node.
+
+    The forward does the operations of ad.logsumexp and picks each row's
+    label logit; the backward is analytic, (g / n) * (softmax - onehot).
+    Value and logits gradient are bit-identical to composing logsumexp,
+    mul by a one-hot matrix, sum, sub and mean on the tape.
+    """
     n, c = logits.shape
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"label out of range [0, {c})")
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    lse = ad.logsumexp(logits)                                  # (B,)
-    picked = ad.tensor_sum(ad.mul(logits, onehot), axis=-1)     # (B,)
-    return ad.tensor_mean(ad.sub(lse, picked))
+    z = logits.data
+    rows = np.arange(n)
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    lse = (m + np.log(s))[..., 0]
+
+    def bwd(g):
+        gn = g / n
+        d = gn * (e / s)
+        d[rows, labels] -= gn
+        return (d,)
+
+    return ad._record("cross_entropy", (logits,), (lse - z[rows, labels]).mean(), bwd)
 
 
 def pretrain(model: ModelHandle, features: np.ndarray, labels: np.ndarray,
@@ -252,24 +264,6 @@ def anchor_select(models: Sequence[ModelHandle]) -> list[ModelHandle]:
     indexed = list(enumerate(models))
     indexed.sort(key=lambda im: (-im[1].param_count, im[0]))
     return [m for _, m in indexed]
-
-
-def evaluate_clean_accuracy(model: ModelHandle, features: np.ndarray,
-                            labels: np.ndarray, batch_size: int = 64) -> float:
-    # shuffled batches: class-ordered batches would distort batch statistics
-    order = np.random.default_rng(0).permutation(len(labels))
-    features, labels = features[order], labels[order]
-    correct = 0
-    seen = 0
-    for start in range(0, len(labels), batch_size):
-        xb = features[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        if model.spec.norm_kind == "batchnorm" and len(yb) < 2:
-            continue
-        logits = forward_logits(model, Tensor(xb))
-        correct += int((logits.data.argmax(axis=1) == yb).sum())
-        seen += len(yb)
-    return correct / seen
 
 
 # --- checkpoint IO -----------------------------------------------------------

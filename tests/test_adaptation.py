@@ -106,6 +106,33 @@ class TestLearnTau:
         with pytest.raises(ValueError):
             learn_tau(TauState(steps=-1), np.ones((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_state_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError):
+            TauState(tau=tau)
+
+    def test_clamped_rejects_nan(self):
+        with pytest.raises(ValueError):
+            TauState().clamped(float("nan"))
+
+    @pytest.mark.parametrize("model", ["anchor", "auxiliary"])
+    def test_nan_batch_skips_iterations_and_keeps_tau(self, model):
+        # a NaN logit makes the tau gradient NaN: each iteration is skipped
+        # without trying a candidate, as for a zero gradient
+        class CountingTauState(TauState):
+            def clamped(self, tau):
+                seen.append(tau)
+                return super().clamped(tau)
+
+        seen = []
+        rng = np.random.default_rng(3)
+        p_a, p_s = rng.standard_normal((2, 8, 4))
+        (p_a if model == "anchor" else p_s)[5, 2] = np.nan
+        state = CountingTauState(tau=1.7, steps=5)
+        learn_tau(state, p_a, p_s)
+        assert state.tau == 1.7
+        assert seen == [1.7]   # the final clamp only
+
     @staticmethod
     def reference_learn_tau(state, p_a, p_s):
         """The line search as first written: every discrepancy recomputed."""

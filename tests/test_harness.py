@@ -1,5 +1,7 @@
 """Run orchestration: configs, determinism, metrics, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,82 @@ class TestPretrainCache:
         for x, y in zip(a, b):
             for n in x.params:
                 assert np.array_equal(x.params[n].data, y.params[n].data)
+
+    @staticmethod
+    def count_pretrains(monkeypatch) -> list:
+        """Start from an empty cache; return a list that grows per pretrained model."""
+        monkeypatch.setattr(harness, "_PRETRAIN_CACHE", type(harness._PRETRAIN_CACHE)())
+        calls, pretrain = [], harness.pretrain
+        monkeypatch.setattr(harness, "pretrain",
+                            lambda *a, **kw: calls.append(1) or pretrain(*a, **kw))
+        return calls
+
+    @staticmethod
+    def param_bytes(models) -> list:
+        return [[p.data.tobytes() for p in m.all_params()] for m in models]
+
+    def test_added_model_pretrains_only_itself(self, monkeypatch):
+        calls = self.count_pretrains(monkeypatch)
+        cfg2 = small_config(pretrain_epochs=2)
+        third = ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(8,), hidden_sizes=[6],
+                                          norm_kind="layernorm", num_classes=4), lr=5e-3)
+        cfg3 = small_config(pretrain_epochs=2, models=cfg2.models + [third])
+        prepare_models_cached(cfg2)
+        assert len(calls) == 2
+        cached = prepare_models_cached(cfg3)
+        assert len(calls) == 3
+        assert self.param_bytes(cached) == self.param_bytes(harness.prepare_models(cfg3))
+
+    def test_adaptation_lr_is_not_part_of_the_key(self, monkeypatch):
+        calls = self.count_pretrains(monkeypatch)
+        cfg = small_config(pretrain_epochs=2)
+        first = prepare_models_cached(cfg)
+        relr = [replace(e, lr=e.lr * 3) for e in cfg.models]
+        again = prepare_models_cached(small_config(pretrain_epochs=2, models=relr))
+        assert len(calls) == 2
+        assert self.param_bytes(first) == self.param_bytes(again)
+
+    @pytest.mark.parametrize("override", [
+        {"seed": 1}, {"pretrain_lr": 0.02}, {"pretrain_epochs": 3}, {"n_per_class": 30},
+        {"pretrain_batch_size": 16},
+        {"task": SourceTask(kind="gaussian_mixture", num_classes=4, dims=8,
+                            center_separation=3.0)},
+    ], ids=lambda o: next(iter(o)))
+    def test_pretraining_inputs_are_part_of_the_key(self, monkeypatch, override):
+        calls = self.count_pretrains(monkeypatch)
+        base = small_config(pretrain_epochs=2)
+        prepare_models_cached(base)
+        changed = prepare_models_cached(small_config(**{"pretrain_epochs": 2, **override}))
+        assert len(calls) == 4
+        assert self.param_bytes(changed) != self.param_bytes(harness.prepare_models(base))
+
+    def test_entry_spec_epochs_and_index_are_part_of_the_key(self, monkeypatch):
+        calls = self.count_pretrains(monkeypatch)
+        cfg = small_config(pretrain_epochs=2)
+        prepare_models_cached(cfg)
+        longer = [replace(cfg.models[0], pretrain_epochs=3), cfg.models[1]]
+        prepare_models_cached(small_config(pretrain_epochs=2, models=longer))
+        assert len(calls) == 3
+        narrower = [cfg.models[0], replace(cfg.models[1], spec=replace(
+            cfg.models[1].spec, hidden_sizes=[10]))]
+        prepare_models_cached(small_config(pretrain_epochs=2, models=narrower))
+        assert len(calls) == 4
+        swapped = prepare_models_cached(small_config(pretrain_epochs=2,
+                                                     models=cfg.models[::-1]))
+        assert len(calls) == 6
+        assert self.param_bytes(swapped) == self.param_bytes(
+            harness.prepare_models(small_config(pretrain_epochs=2, models=cfg.models[::-1])))
+
+    def test_cache_never_grows_past_its_cap(self, monkeypatch):
+        calls = self.count_pretrains(monkeypatch)
+        cap = harness.PRETRAIN_CACHE_CAP
+        keep = small_config(pretrain_epochs=1, n_per_class=4)
+        for seed in range(cap // 2 + 2):
+            prepare_models_cached(small_config(pretrain_epochs=1, n_per_class=4, seed=seed))
+            assert len(harness._PRETRAIN_CACHE) <= cap
+            prepare_models_cached(keep)   # kept recent, so never evicted
+        assert len(harness._PRETRAIN_CACHE) == cap
+        assert len(calls) == 2 * (cap // 2 + 2)
 
 
 class TestRun:
