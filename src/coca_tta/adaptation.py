@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import SGD, Tape, Tensor
 from .models import ModelHandle, cross_entropy_mean, forward_logits
+from .record import Record
 
 
 @dataclass
@@ -51,7 +52,7 @@ class FilterConfig:
 
 
 @dataclass
-class LossMasks:
+class LossMasks(Record):
     sa: bool = True
     mar: bool = True
     ckd: bool = True
@@ -153,15 +154,13 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
     return state
 
 
-def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float,
-             mode: str = "max_preserving") -> EnsembleOutput:
-    """Aggregate anchor and tau-scaled auxiliary logits.
+def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
+    """Aggregate anchor and tau-scaled auxiliary logits, preserving the maximum.
 
-    max_preserving scales by 1 / T, with the per-sample balance factor
+    The sum is scaled by 1 / T, with the per-sample balance factor
     T = max p_e' / max p_a, so the maximum logit matches the anchor's;
-    samples where either maximum is <= 0 fall back to T = 1. The
-    "average" diagnostic mode uses T = 2 instead. The loss forms its
-    ensemble logits with the same expression (_ensemble_logits), so
+    samples where either maximum is <= 0 fall back to T = 1. The loss
+    forms its ensemble logits with the same expression (_ensemble_logits), so
     predictions, the filter and the objective see bit-equal logits.
     """
     if tau <= 0:
@@ -171,14 +170,9 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float,
     if p_a.shape != p_s.shape:
         raise ad.ShapeError(f"ensemble: shapes {p_a.shape} and {p_s.shape} differ")
     pe_prime = p_a + p_s / tau
-    if mode == "average":
-        T = np.full(p_a.shape[0], 2.0)
-    elif mode == "max_preserving":
-        max_a = p_a.max(axis=1)
-        max_e = pe_prime.max(axis=1)
-        T = np.where((max_a > 0) & (max_e > 0), max_e / np.where(max_a > 0, max_a, 1.0), 1.0)
-    else:
-        raise ValueError(f"unsupported ensemble mode: {mode!r}")
+    max_a = p_a.max(axis=1)
+    max_e = pe_prime.max(axis=1)
+    T = np.where((max_a > 0) & (max_e > 0), max_e / np.where(max_a > 0, max_a, 1.0), 1.0)
     p_e = pe_prime * (1.0 / T[:, None])
     y_hat = p_e.argmax(axis=1)
     return EnsembleOutput(p_a=p_a, p_s=p_s, tau=float(tau), p_e_prime=pe_prime,

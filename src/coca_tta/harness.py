@@ -19,12 +19,18 @@ from .adaptation import FilterConfig, LossMasks, TauState, multi_model_step, ten
 from .autodiff import SGD, Tensor
 from .models import (ModelHandle, ModelSpec, anchor_select, build_model,
                      forward_logits, pretrain)
+from .record import Record, field_types, reader
 from .shiftgen import (CorruptionSpec, SourceTask, StreamSpec, apply_corruption,
                        gen_source, make_stream)
 
 STRATEGIES = ("source_only", "tent", "coca", "coca_filtered")
 
 CSV_HEADER = "batch,acc_anchor,acc_aux,acc_combined,tau,L_mar,L_ckd,L_sa,L_total,kept_frac"
+
+
+def fmt_number(v: Optional[float]) -> str:
+    """A number as metrics.csv and summary.csv write it; None is NA."""
+    return "NA" if v is None else format(v, ".12g")
 
 
 def mix64(seed: int, index: int) -> int:
@@ -36,25 +42,17 @@ def mix64(seed: int, index: int) -> int:
 
 
 @dataclass
-class ModelEntry:
+class ModelEntry(Record):
     spec: ModelSpec
     lr: float
     # per-model pretraining budget; None falls back to the run value
     pretrain_epochs: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return {"spec": self.spec.to_dict(), "lr": self.lr,
-                "pretrain_epochs": self.pretrain_epochs}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelEntry":
-        pe = d.get("pretrain_epochs")
-        return cls(spec=ModelSpec.from_dict(d["spec"]), lr=float(d["lr"]),
-                   pretrain_epochs=None if pe is None else int(pe))
-
 
 @dataclass
-class RunConfig:
+class RunConfig(Record):
+    _tag = {"schema": 1}
+
     models: list[ModelEntry]
     task: SourceTask
     stream: StreamSpec
@@ -99,58 +97,6 @@ class RunConfig:
                     f"model classes {entry.spec.num_classes} incompatible with "
                     f"task classes {self.task.num_classes}")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "models": [m.to_dict() for m in self.models],
-            "task": self.task.to_dict(),
-            "stream": self.stream.to_dict(),
-            "corruption": self.corruption.to_dict() if self.corruption else None,
-            "strategy": self.strategy,
-            "n_per_class": self.n_per_class,
-            "pretrain_epochs": self.pretrain_epochs,
-            "pretrain_lr": self.pretrain_lr,
-            "pretrain_batch_size": self.pretrain_batch_size,
-            "lam_col": self.lam_col,
-            "tau_steps": self.tau_steps,
-            "tau_step_size": self.tau_step_size,
-            "tau_clamp": self.tau_clamp,
-            "tau_min": self.tau_min,
-            "tau_max": self.tau_max,
-            "loss_masks": {"sa": self.loss_masks.sa, "mar": self.loss_masks.mar,
-                           "ckd": self.loss_masks.ckd},
-            "filter_threshold_factor": self.filter_threshold_factor,
-            "collapse_threshold": self.collapse_threshold,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        masks = d.get("loss_masks", {})
-        return cls(
-            models=[ModelEntry.from_dict(m) for m in d["models"]],
-            task=SourceTask.from_dict(d["task"]),
-            stream=StreamSpec.from_dict(d.get("stream", {})),
-            corruption=(CorruptionSpec.from_dict(d["corruption"])
-                        if d.get("corruption") else None),
-            strategy=d.get("strategy", "coca"),
-            n_per_class=int(d.get("n_per_class", 400)),
-            pretrain_epochs=int(d.get("pretrain_epochs", 30)),
-            pretrain_lr=float(d.get("pretrain_lr", 0.05)),
-            pretrain_batch_size=int(d.get("pretrain_batch_size", 64)),
-            lam_col=float(d.get("lam_col", 1.0)),
-            tau_steps=int(d.get("tau_steps", 5)),
-            tau_step_size=float(d.get("tau_step_size", 1e-2)),
-            tau_clamp=float(d.get("tau_clamp", 20.0)),
-            tau_min=float(d.get("tau_min", 1e-2)),
-            tau_max=float(d.get("tau_max", 1e3)),
-            loss_masks=LossMasks(sa=bool(masks.get("sa", True)),
-                                 mar=bool(masks.get("mar", True)),
-                                 ckd=bool(masks.get("ckd", True))),
-            filter_threshold_factor=float(d.get("filter_threshold_factor", 0.4)),
-            collapse_threshold=float(d.get("collapse_threshold", 0.4)),
-            seed=int(d.get("seed", 0)),
-        )
 
 
 @dataclass
@@ -168,12 +114,9 @@ class MetricsRecord:
     n_samples: int = 0
 
     def csv_row(self) -> str:
-        def fmt(v):
-            return "NA" if v is None else format(v, ".12g")
-        return ",".join([str(self.batch), fmt(self.acc_anchor), fmt(self.acc_aux),
-                         fmt(self.acc_combined), fmt(self.tau), fmt(self.l_mar),
-                         fmt(self.l_ckd), fmt(self.l_sa), fmt(self.l_total),
-                         fmt(self.kept_frac)])
+        return ",".join([str(self.batch)] + [fmt_number(v) for v in (
+            self.acc_anchor, self.acc_aux, self.acc_combined, self.tau, self.l_mar,
+            self.l_ckd, self.l_sa, self.l_total, self.kept_frac)])
 
 
 @dataclass
@@ -402,41 +345,56 @@ MASK_NAMES = {
 }
 
 
+# each sweep key and the record field whose type reads its values
+SWEEP_FIELDS = {"severity": (CorruptionSpec, "severity"),
+                "stream_order": (StreamSpec, "order"),
+                **{key: (RunConfig, key) for key in (
+                    "loss_masks", "strategy", "lam_col", "tau_steps", "tau_step_size",
+                    "seed", "pretrain_epochs", "n_per_class")}}
+
+
 def point_config(base: RunConfig, point: dict, index: int,
                  derive_seed: bool = True) -> RunConfig:
     """The config of sweep point `index`: base with the point's overrides.
 
-    Unless the point sets the seed, it gets mix64(base.seed, 1000 + index).
-    The overrides apply together, so only the whole point is validated.
+    Each value is read with its field's type; a loss_masks value may also
+    name an entry of MASK_NAMES. Unless the point sets the seed, it gets
+    mix64(base.seed, 1000 + index). The overrides apply together, so only
+    the whole point is validated.
     """
     fields = {}
     for key, value in point.items():
-        if key == "loss_masks":
-            fields[key] = MASK_NAMES[value] if isinstance(value, str) else LossMasks(**value)
-        elif key == "severity":
-            if base.corruption is None:
-                raise ValueError("severity override requires a corruption spec")
-            fields["corruption"] = CorruptionSpec(base.corruption.kind, int(value))
-        elif key == "stream_order":
-            fields["stream"] = replace(base.stream, order=value)
-        elif key in ("strategy", "lam_col", "tau_steps", "tau_step_size", "seed",
-                     "pretrain_epochs", "n_per_class"):
-            fields[key] = value
+        path = f"<point {index}>.{key}"
+        if key not in SWEEP_FIELDS:
+            raise ValueError(f"{path}: unknown sweep key; expected one of {list(SWEEP_FIELDS)}")
+        if key == "loss_masks" and isinstance(value, str):
+            if value not in MASK_NAMES:
+                raise ValueError(f"{path}: unknown mask name {value!r}; "
+                                 f"expected one of {list(MASK_NAMES)}")
+            fields[key] = MASK_NAMES[value]
         else:
-            raise ValueError(f"unknown sweep key: {key!r}")
+            cls, name = SWEEP_FIELDS[key]
+            fields[key] = reader(field_types(cls)[name])(value, path)
     if derive_seed and "seed" not in point:
         fields["seed"] = mix64(base.seed, 1000 + index)
-    return replace(base, **fields)
-
-
-def apply_override(config: RunConfig, key: str, value) -> RunConfig:
-    """config with the single sweep override key = value."""
-    return point_config(config, {key: value}, 0, derive_seed=False)
+    try:
+        if "severity" in fields:
+            if base.corruption is None:
+                raise ValueError("severity override requires a corruption spec")
+            fields["corruption"] = replace(base.corruption, severity=fields.pop("severity"))
+        if "stream_order" in fields:
+            fields["stream"] = replace(base.stream, order=fields.pop("stream_order"))
+        return replace(base, **fields)
+    except ValueError as exc:
+        raise ValueError(f"<point {index}>: {exc}") from None
 
 
 def sweep_points(grid: dict[str, list]) -> list[dict]:
-    if not grid:
-        raise ValueError("sweep grid must not be empty")
+    if not isinstance(grid, dict) or not grid:
+        raise ValueError(f"sweep grid must be a non-empty object, got {grid!r}")
+    for key, values in grid.items():
+        if not isinstance(values, list):
+            raise ValueError(f"<grid>.{key}: expected a list of values, got {values!r}")
     keys = list(grid)
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 

@@ -11,13 +11,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SGD, Tape, Tensor
+from .record import Record
 
 CHECKPOINT_MAGIC = b"COCK"
 CHECKPOINT_VERSION = 1
@@ -28,7 +29,7 @@ class CheckpointError(ValueError):
 
 
 @dataclass
-class ModelSpec:
+class ModelSpec(Record):
     kind: str                       # "mlp" | "convnet"
     input_shape: tuple[int, ...]    # (dims,) for mlp, (C, H, W) for convnet
     hidden_sizes: list[int]         # mlp widths, or convnet channel counts (2 entries)
@@ -58,25 +59,6 @@ class ModelSpec:
                 raise ValueError("convnet is fixed to 2 conv blocks: hidden_sizes must have 2 entries")
             if self.norm_kind != "batchnorm":
                 raise ValueError("convnet supports batchnorm only")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_shape": list(self.input_shape),
-            "hidden_sizes": list(self.hidden_sizes),
-            "norm_kind": self.norm_kind,
-            "num_classes": self.num_classes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            kind=d["kind"],
-            input_shape=tuple(d["input_shape"]),
-            hidden_sizes=list(d["hidden_sizes"]),
-            norm_kind=d["norm_kind"],
-            num_classes=int(d["num_classes"]),
-        )
 
 
 @dataclass

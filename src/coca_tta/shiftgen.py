@@ -9,10 +9,12 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, Iterator
 
 import numpy as np
+
+from .record import Record
 
 DATASET_MAGIC = b"COCD"
 DATASET_VERSION = 1
@@ -31,7 +33,7 @@ class DatasetError(ValueError):
 
 
 @dataclass
-class SourceTask:
+class SourceTask(Record):
     kind: str                     # "gaussian_mixture" | "procedural_images"
     num_classes: int
     dims: int = 32                # gaussian_mixture feature dimension
@@ -53,36 +55,9 @@ class SourceTask:
     def feature_shape(self) -> tuple[int, ...]:
         return (self.dims,) if self.kind == "gaussian_mixture" else self.image_shape
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "num_classes": self.num_classes,
-            "dims": self.dims,
-            "image_shape": list(self.image_shape),
-            "center_separation": self.center_separation,
-            "noise_std": self.noise_std,
-            "center_seed": self.center_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SourceTask":
-        out = cls(kind=d["kind"], num_classes=int(d["num_classes"]))
-        if "dims" in d:
-            out.dims = int(d["dims"])
-        if "image_shape" in d:
-            out.image_shape = tuple(d["image_shape"])
-        if "center_separation" in d:
-            out.center_separation = float(d["center_separation"])
-        if "noise_std" in d:
-            out.noise_std = float(d["noise_std"])
-        if "center_seed" in d:
-            out.center_seed = int(d["center_seed"])
-        out.__post_init__()
-        return out
-
 
 @dataclass
-class CorruptionSpec:
+class CorruptionSpec(Record):
     kind: str
     severity: int
 
@@ -92,16 +67,9 @@ class CorruptionSpec:
         if not 1 <= self.severity <= 5:
             raise ValueError(f"severity must be in 1..5, got {self.severity}")
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "severity": self.severity}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorruptionSpec":
-        return cls(kind=d["kind"], severity=int(d["severity"]))
-
 
 @dataclass
-class StreamSpec:
+class StreamSpec(Record):
     order: str = "iid_shuffled"   # iid_shuffled | label_sorted | mixed_blocks
     batch_size: int = 64
     total_samples: int = 0        # 0 = use the whole dataset
@@ -112,17 +80,6 @@ class StreamSpec:
             raise ValueError(f"unsupported stream order: {self.order!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"order": self.order, "batch_size": self.batch_size,
-                "total_samples": self.total_samples, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StreamSpec":
-        return cls(order=d.get("order", "iid_shuffled"),
-                   batch_size=int(d.get("batch_size", 64)),
-                   total_samples=int(d.get("total_samples", 0)),
-                   seed=int(d.get("seed", 0)))
 
 
 def class_centers(task: SourceTask) -> np.ndarray:

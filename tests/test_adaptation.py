@@ -191,10 +191,6 @@ class TestEnsemble:
         assert np.allclose(out.p_e, [[3.0, 2.25]])
         assert out.y_hat[0] == 0
 
-    def test_average_mode_hand_example(self):
-        out = ensemble(np.array([[9.8]]), np.array([[1.6]]), tau=1.0, mode="average")
-        assert np.allclose(out.p_e, [[5.7]])
-
     def test_t_guard_nonpositive_max(self):
         out = ensemble(np.array([[-1.0, -2.0]]), np.array([[5.0, 1.0]]), tau=1.0)
         assert out.T[0] == 1.0
@@ -209,10 +205,6 @@ class TestEnsemble:
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             ensemble(np.ones((2, 2)), np.ones((2, 2)), tau=0.0)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            ensemble(np.ones((2, 2)), np.ones((2, 2)), tau=1.0, mode="median")
 
     def test_argmax_tie_takes_lowest_index(self):
         out = ensemble(np.array([[2.0, 2.0]]), np.array([[2.0, 2.0]]), tau=1.0)

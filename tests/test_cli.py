@@ -105,6 +105,23 @@ class TestValidateConfig:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("overrides,path", [
+        ({"loss_masks": {"sa": "false"}}, "<root>.loss_masks.sa"),
+        ({"corruption": {"kind": "gaussian_noise", "severity": 3.7}},
+         "<root>.corruption.severity"),
+        ({"n_per_class": 2.9}, "<root>.n_per_class"),
+        ({"seed": True}, "<root>.seed"),
+        ({"models": 5}, "<root>.models"),
+        ({"models": None}, "<root>.models"),
+        ({"corruption": {}}, "<root>.corruption"),
+    ], ids=["mask_str", "severity_float", "n_per_class_float", "seed_bool",
+            "models_int", "models_null", "corruption_empty"])
+    def test_rejects_malformed_value_naming_its_path(self, tmp_path, capsys, overrides, path):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["adapt", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {path}: ")
+        assert not (tmp_path / "out").exists()
+
 class TestPretrainAdaptReport:
     def test_full_pipeline(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -272,6 +289,24 @@ class TestSweep:
         out = tmp_path / "sweep"
         assert main(["sweep", str(cfg), "--grid", str(grid), "--out", str(out)]) == 1
         assert "identically 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid,path", [
+        ({"loss_masks": [{"sa": "no"}]}, "<point 0>.loss_masks.sa"),
+        ({"lam_col": ["0.5"]}, "<point 0>.lam_col"),
+        ({"tau_steps": [1.5]}, "<point 0>.tau_steps"),
+        ({"tau_steps": [1, 5], "lam_col": [1.0, True]}, "<point 1>.lam_col"),
+        ({"loss_masks": ["sa+bogus"]}, "<point 0>.loss_masks"),
+        ({"lam_col": 0.5}, "<grid>.lam_col"),
+    ], ids=["mask_str", "lam_col_str", "tau_steps_float", "second_point",
+            "mask_name", "values_not_list"])
+    def test_malformed_grid_fails_before_any_run(self, tmp_path, capsys, grid, path):
+        cfg = write_config(tmp_path)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid config: {path}: ")
         assert not out.exists()
 
     def test_bad_config_returns_one(self, tmp_path, capsys):

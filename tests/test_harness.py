@@ -8,8 +8,8 @@ import pytest
 from coca_tta import harness
 from coca_tta.adaptation import LossMasks
 from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
-                              RunConfig, apply_override, evaluate_accuracy,
-                              mix64, prepare_models_cached, run, sweep_points)
+                              RunConfig, evaluate_accuracy, mix64,
+                              point_config, prepare_models_cached, run, sweep_points)
 from coca_tta.models import ModelSpec
 from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
 
@@ -48,14 +48,6 @@ class TestMix64:
 
 
 class TestRunConfig:
-    def test_dict_round_trip(self):
-        cfg = small_config(collapse_threshold=0.25, lam_col=0.5)
-        cfg.models[0].pretrain_epochs = 12
-        back = RunConfig.from_dict(cfg.to_dict())
-        assert back.to_dict() == cfg.to_dict()
-        assert back.models[0].pretrain_epochs == 12
-        assert back.collapse_threshold == 0.25
-
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
             small_config(strategy="magic")
@@ -79,8 +71,9 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="loss_masks"):
             small_config(loss_masks=LossMasks(sa=False, mar=False, ckd=False))
         with pytest.raises(ValueError, match="loss_masks"):
-            apply_override(small_config(), "loss_masks",
-                           {"sa": False, "mar": False, "ckd": False})
+            point_config(small_config(),
+                         {"loss_masks": {"sa": False, "mar": False, "ckd": False}},
+                         0, derive_seed=False)
 
     @pytest.mark.parametrize("lam_col", [-0.5, float("nan")])
     def test_rejects_negative_lam_col(self, lam_col):
@@ -289,16 +282,16 @@ class TestSweeps:
             sweep_points({})
 
     def test_apply_override_masks_by_name(self):
-        cfg = apply_override(small_config(), "loss_masks", "sa+mar")
+        cfg = point_config(small_config(), {"loss_masks": "sa+mar"}, 0, derive_seed=False)
         assert cfg.loss_masks.sa and cfg.loss_masks.mar and not cfg.loss_masks.ckd
 
     def test_apply_override_severity(self):
-        cfg = apply_override(small_config(), "severity", 5)
+        cfg = point_config(small_config(), {"severity": 5}, 0, derive_seed=False)
         assert cfg.corruption.severity == 5
 
     def test_apply_override_unknown_key(self):
         with pytest.raises(ValueError):
-            apply_override(small_config(), "nonsense", 1)
+            point_config(small_config(), {"nonsense": 1}, 0, derive_seed=False)
 
     def test_point_config_derives_seed_and_validates_whole_point(self):
         base = small_config(seed=5, lam_col=0.0)

@@ -28,10 +28,6 @@ class TestSourceTask:
         with pytest.raises(ValueError):
             SourceTask(kind="gaussian_mixture", num_classes=33, dims=32)
 
-    def test_dict_round_trip(self):
-        task = mixture(C=5, dims=16, sep=3.5)
-        assert SourceTask.from_dict(task.to_dict()) == task
-
     def test_centers_fixed_by_task_not_draw_seed(self):
         task = mixture()
         a, la = gen_source(task, n_per_class=200, seed=1)
