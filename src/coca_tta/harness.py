@@ -19,7 +19,7 @@ from .adaptation import FilterConfig, LossMasks, TauState, multi_model_step, ten
 from .autodiff import SGD, Tensor
 from .models import (ModelHandle, ModelSpec, anchor_select, build_model,
                      forward_logits, pretrain)
-from .record import Record, field_types, reader
+from .record import Record
 from .shiftgen import (CorruptionSpec, SourceTask, StreamSpec, apply_corruption,
                        gen_source, make_stream)
 
@@ -55,7 +55,7 @@ class RunConfig(Record):
 
     models: list[ModelEntry]
     task: SourceTask
-    stream: StreamSpec
+    stream: StreamSpec = field(default_factory=StreamSpec)
     corruption: Optional[CorruptionSpec] = None
     strategy: str = "coca"
     n_per_class: int = 400
@@ -345,48 +345,41 @@ MASK_NAMES = {
 }
 
 
-# each sweep key and the record field whose type reads its values
-SWEEP_FIELDS = {"severity": (CorruptionSpec, "severity"),
-                "stream_order": (StreamSpec, "order"),
-                **{key: (RunConfig, key) for key in (
-                    "loss_masks", "strategy", "lam_col", "tau_steps", "tau_step_size",
-                    "seed", "pretrain_epochs", "n_per_class")}}
+SWEEP_KEYS = ("severity", "stream_order", "loss_masks", "strategy", "lam_col", "tau_steps",
+              "tau_step_size", "seed", "pretrain_epochs", "n_per_class")
 
 
 def point_config(base: RunConfig, point: dict, index: int,
                  derive_seed: bool = True) -> RunConfig:
     """The config of sweep point `index`: base with the point's overrides.
 
-    Each value is read with its field's type; a loss_masks value may also
-    name an entry of MASK_NAMES. Unless the point sets the seed, it gets
+    The point is read as base's document with the overrides put in, so each
+    value goes through its field's reader; a loss_masks value may also name
+    an entry of MASK_NAMES. Unless the point sets the seed, it gets
     mix64(base.seed, 1000 + index). The overrides apply together, so only
     the whole point is validated.
     """
-    fields = {}
+    path = f"<point {index}>"
+    doc = base.to_dict()
     for key, value in point.items():
-        path = f"<point {index}>.{key}"
-        if key not in SWEEP_FIELDS:
-            raise ValueError(f"{path}: unknown sweep key; expected one of {list(SWEEP_FIELDS)}")
+        if key not in SWEEP_KEYS:
+            raise ValueError(f"{path}.{key}: unknown sweep key; expected one of {list(SWEEP_KEYS)}")
         if key == "loss_masks" and isinstance(value, str):
             if value not in MASK_NAMES:
-                raise ValueError(f"{path}: unknown mask name {value!r}; "
+                raise ValueError(f"{path}.{key}: unknown mask name {value!r}; "
                                  f"expected one of {list(MASK_NAMES)}")
-            fields[key] = MASK_NAMES[value]
+            value = MASK_NAMES[value].to_dict()
+        if key == "severity":
+            if doc["corruption"] is None:
+                raise ValueError(f"{path}: severity override requires a corruption spec")
+            doc["corruption"]["severity"] = value
+        elif key == "stream_order":
+            doc["stream"]["order"] = value
         else:
-            cls, name = SWEEP_FIELDS[key]
-            fields[key] = reader(field_types(cls)[name])(value, path)
+            doc[key] = value
     if derive_seed and "seed" not in point:
-        fields["seed"] = mix64(base.seed, 1000 + index)
-    try:
-        if "severity" in fields:
-            if base.corruption is None:
-                raise ValueError("severity override requires a corruption spec")
-            fields["corruption"] = replace(base.corruption, severity=fields.pop("severity"))
-        if "stream_order" in fields:
-            fields["stream"] = replace(base.stream, order=fields.pop("stream_order"))
-        return replace(base, **fields)
-    except ValueError as exc:
-        raise ValueError(f"<point {index}>: {exc}") from None
+        doc["seed"] = mix64(base.seed, 1000 + index)
+    return RunConfig._read(doc, path)
 
 
 def sweep_points(grid: dict[str, list]) -> list[dict]:

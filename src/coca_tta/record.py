@@ -57,16 +57,9 @@ def _plain(value):
 
 
 @functools.cache
-def field_types(cls: type) -> dict:
-    """Each dataclass field of ``cls`` with its type hint, resolved once."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-
-
-@functools.cache
 def _fields(cls: type) -> dict:
     """Each field's reader and whether the field is required (has no default)."""
-    hints = field_types(cls)
+    hints = typing.get_type_hints(cls)
     return {f.name: (reader(hints[f.name]), f.default is dataclasses.MISSING
                      and f.default_factory is dataclasses.MISSING)
             for f in dataclasses.fields(cls)}

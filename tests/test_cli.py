@@ -13,7 +13,7 @@ import pytest
 
 from coca_tta import cli, harness, models
 from coca_tta.cli import ConfigError, main, validate_config
-from coca_tta.shiftgen import load_dataset
+from coca_tta.shiftgen import StreamSpec, load_dataset
 
 
 def blas_thread_getter():
@@ -63,6 +63,11 @@ class TestValidateConfig:
         assert cfg.seed == 11
         assert len(cfg.models) == 2
 
+    def test_accepts_document_without_stream(self, tmp_path):
+        doc = json.loads(write_config(tmp_path).read_text())
+        del doc["stream"]
+        assert validate_config(doc).stream == StreamSpec()
+
     def test_rejects_unknown_top_level_key(self, tmp_path):
         doc = json.loads(write_config(tmp_path).read_text())
         doc["learning_rate"] = 0.1
@@ -104,7 +109,6 @@ class TestValidateConfig:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-
     @pytest.mark.parametrize("overrides,path", [
         ({"loss_masks": {"sa": "false"}}, "<root>.loss_masks.sa"),
         ({"corruption": {"kind": "gaussian_noise", "severity": 3.7}},
@@ -121,6 +125,7 @@ class TestValidateConfig:
         assert main(["adapt", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: invalid config: {path}: ")
         assert not (tmp_path / "out").exists()
+
 
 class TestPretrainAdaptReport:
     def test_full_pipeline(self, tmp_path, capsys):
@@ -297,9 +302,10 @@ class TestSweep:
         ({"tau_steps": [1.5]}, "<point 0>.tau_steps"),
         ({"tau_steps": [1, 5], "lam_col": [1.0, True]}, "<point 1>.lam_col"),
         ({"loss_masks": ["sa+bogus"]}, "<point 0>.loss_masks"),
+        ({"severity": [3.7]}, "<point 0>.corruption.severity"),
         ({"lam_col": 0.5}, "<grid>.lam_col"),
     ], ids=["mask_str", "lam_col_str", "tau_steps_float", "second_point",
-            "mask_name", "values_not_list"])
+            "mask_name", "severity_float", "values_not_list"])
     def test_malformed_grid_fails_before_any_run(self, tmp_path, capsys, grid, path):
         cfg = write_config(tmp_path)
         grid_path = tmp_path / "grid.json"

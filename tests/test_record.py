@@ -65,7 +65,8 @@ def test_to_dict_writes_schema_tag_and_every_field():
 
 def test_reader_takes_defaults_from_the_fields():
     doc = RECORDS["RunConfig"].to_dict()
-    minimal = {"models": doc["models"], "task": doc["task"], "stream": {}}
+    # only models and task are required; a config without stream reads the default
+    minimal = {"models": doc["models"], "task": doc["task"]}
     cfg = RunConfig.from_dict(minimal)
     assert cfg.strategy == "coca" and cfg.tau_steps == 5 and cfg.corruption is None
     assert cfg.loss_masks == LossMasks()
