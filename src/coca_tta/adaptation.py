@@ -80,21 +80,6 @@ class LossBreakdown:
     kept_frac: float = 1.0
 
 
-def tau_discrepancy(p_a: np.ndarray, p_s_scaled: np.ndarray, clamp: float = 20.0) -> float:
-    """Exponential-space L1 discrepancy, averaged over the batch.
-
-    Logits are clipped to [-clamp, clamp] before exponentiation.
-    """
-    p_a = np.asarray(p_a, dtype=np.float64)
-    p_s_scaled = np.asarray(p_s_scaled, dtype=np.float64)
-    if p_a.shape != p_s_scaled.shape:
-        raise ad.ShapeError(
-            f"tau_discrepancy: shapes {p_a.shape} and {p_s_scaled.shape} differ")
-    ea = np.exp(np.clip(p_a, -clamp, clamp))
-    es = np.exp(np.clip(p_s_scaled, -clamp, clamp))
-    return float(np.abs(ea - es).sum() / p_a.shape[0])
-
-
 def _tau_grad(ea: np.ndarray, p_s: np.ndarray, scaled: np.ndarray, es: np.ndarray,
               tau: float, clamp: float) -> float:
     """d/dtau of the batch-mean discrepancy with clip treated as a hard gate.
@@ -228,14 +213,12 @@ def ckd_loss(p_a, p_s, y_hat: np.ndarray) -> Tensor:
 def _softmax_stats(z: np.ndarray):
     """Per-row softmax q, logsumexp and sum(q * z) of logits z.
 
-    Uses the operations of ad.softmax, ad.logsumexp and entropy_rows, so the
-    entropy lse - qz is bit-identical to entropy_rows(z).
+    Uses the softmax pass of ad.softmax and ad.logsumexp and the operations
+    of entropy_rows, so the entropy lse - qz is bit-identical to
+    entropy_rows(z).
     """
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=-1, keepdims=True)
-    q = e / s
-    return q, (m + np.log(s))[..., 0], (q * z).sum(axis=-1)
+    q, lse = ad._softmax_lse(z)
+    return q, lse, (q * z).sum(axis=-1)
 
 
 def _row_entropy(z: np.ndarray) -> np.ndarray:

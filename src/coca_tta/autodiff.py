@@ -9,6 +9,7 @@ summed across uses and cleared only by :meth:`SGD.step` or
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -365,12 +366,21 @@ def max_last_axis(a) -> Tensor:
     return _record("max_last_axis", (a,), out, bwd)
 
 
+def _softmax_lse(z: np.ndarray):
+    """Softmax and logsumexp over the last axis from one max-shifted pass.
+
+    Returns q with the shape of z and lse with the last axis dropped.
+    """
+    m = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=-1, keepdims=True)
+    return e / s, (m + np.log(s))[..., 0]
+
+
 def softmax(a) -> Tensor:
     """Softmax over the last axis, stabilised by per-row max subtraction."""
     a = _as_tensor(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    q = e / e.sum(axis=-1, keepdims=True)
+    q = _softmax_lse(a.data)[0]
 
     def bwd(g):
         dot = (g * q).sum(axis=-1, keepdims=True)
@@ -382,11 +392,7 @@ def softmax(a) -> Tensor:
 def logsumexp(a) -> Tensor:
     """Log-sum-exp over the last axis, stabilised by per-row max subtraction."""
     a = _as_tensor(a)
-    m = a.data.max(axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=-1, keepdims=True)
-    out = (m + np.log(s))[..., 0]
-    q = e / s
+    q, out = _softmax_lse(a.data)
 
     def bwd(g):
         return (g[..., None] * q,)
@@ -448,20 +454,6 @@ def _conv3x3(xn: np.ndarray, wmat: np.ndarray):
     return out.reshape(b, h, wd, -1), cols
 
 
-def _norm_axes(x: Tensor, op: str):
-    if x.data.ndim == 2:
-        return (0,)
-    if x.data.ndim == 4:
-        return (0, 2, 3)
-    raise ShapeError(f"{op}: expected 2-D or 4-D input, got {x.shape}")
-
-
-def _affine_shape(x: Tensor, nfeat: int):
-    if x.data.ndim == 2:
-        return (1, nfeat)
-    return (1, nfeat, 1, 1)
-
-
 def batchnorm(x, scale, shift) -> Tensor:
     """Batch normalization over current-batch statistics with trainable affine.
 
@@ -469,33 +461,12 @@ def batchnorm(x, scale, shift) -> Tensor:
     running statistics are kept.
     """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
-    axes = _norm_axes(x, "batchnorm")
+    if x.data.ndim not in (2, 4):
+        raise ShapeError(f"batchnorm: expected 2-D or 4-D input, got {x.shape}")
     if x.shape[0] < 2:
         raise ShapeError(f"batchnorm: batch size must be >= 2, got {x.shape[0]}")
-    nfeat = x.shape[1]
-    if scale.data.size != nfeat or shift.data.size != nfeat:
-        raise ShapeError(
-            f"batchnorm: affine shapes {scale.shape}/{shift.shape} do not match {nfeat} features")
-    ash = _affine_shape(x, nfeat)
-    # one centering pass; var = mean(xc * xc) is what np.var computes
-    xc = x.data - x.data.mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + _EPS_NORM)
-    xhat = xc * inv
-    out = xhat * scale.data.reshape(ash) + shift.data.reshape(ash)
-    n = x.data.size // nfeat
-
-    def bwd(g):
-        gs = (g * xhat).sum(axis=axes).reshape(scale.shape) if scale.requires_grad else None
-        gb = g.sum(axis=axes).reshape(shift.shape) if shift.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            gxhat = g * scale.data.reshape(ash)
-            gx = (inv / n) * (n * gxhat
-                              - gxhat.sum(axis=axes, keepdims=True)
-                              - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
-        return gx, gs, gb
-
-    return _record("batchnorm", (x, scale, shift), out, bwd)
+    axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
+    return _normalize("batchnorm", x, scale, shift, axes, feat_axis=1)
 
 
 def layernorm(x, scale, shift) -> Tensor:
@@ -503,29 +474,42 @@ def layernorm(x, scale, shift) -> Tensor:
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     if x.data.ndim < 1:
         raise ShapeError("layernorm: input must have at least one axis")
-    nfeat = x.shape[-1]
+    return _normalize("layernorm", x, scale, shift, (-1,), feat_axis=-1)
+
+
+def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor,
+               axes: tuple[int, ...], feat_axis: int) -> Tensor:
+    """Normalize x over ``axes``, then scale and shift each feature of ``feat_axis``.
+
+    The affine gradients reduce over every axis but ``feat_axis``; the input
+    gradient reduces over ``axes``.
+    """
+    nfeat = x.shape[feat_axis]
     if scale.data.size != nfeat or shift.data.size != nfeat:
         raise ShapeError(
-            f"layernorm: affine shapes {scale.shape}/{shift.shape} do not match {nfeat} features")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _EPS_NORM)
+            f"{op}: affine shapes {scale.shape}/{shift.shape} do not match {nfeat} features")
+    feat_axis %= x.data.ndim
+    others = tuple(i for i in range(x.data.ndim) if i != feat_axis)
+    sc = scale.data.reshape([nfeat if i == feat_axis else 1 for i in range(x.data.ndim)])
+    # one centering pass; var = mean(xc * xc) is what np.var computes
+    xc = x.data - x.data.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + _EPS_NORM)
     xhat = xc * inv
-    sc = scale.data.reshape((1,) * (x.data.ndim - 1) + (nfeat,))
     out = xhat * sc + shift.data.reshape(sc.shape)
+    n = math.prod(x.shape[a] for a in axes)
 
     def bwd(g):
-        red = tuple(range(x.data.ndim - 1))
-        gs = (g * xhat).sum(axis=red).reshape(scale.shape) if scale.requires_grad else None
-        gb = g.sum(axis=red).reshape(shift.shape) if shift.requires_grad else None
+        gs = (g * xhat).sum(axis=others).reshape(scale.shape) if scale.requires_grad else None
+        gb = g.sum(axis=others).reshape(shift.shape) if shift.requires_grad else None
         gx = None
         if x.requires_grad:
             gxhat = g * sc
-            gx = (inv / nfeat) * (nfeat * gxhat
-                                  - gxhat.sum(axis=-1, keepdims=True)
-                                  - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True))
+            gx = (inv / n) * (n * gxhat
+                              - gxhat.sum(axis=axes, keepdims=True)
+                              - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
         return gx, gs, gb
 
-    return _record("layernorm", (x, scale, shift), out, bwd)
+    return _record(op, (x, scale, shift), out, bwd)
 
 
 class SGD:

@@ -260,9 +260,11 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
         models = (prepare_models_cached(config) if use_cache
                   else prepare_models(config))
     models = list(models)
-    for entry, model in zip(config.models, models):
-        if model.spec.num_classes != config.task.num_classes:
-            raise ValueError("model/task class count mismatch")
+    if len(models) != len(config.models):
+        raise ValueError(f"got {len(models)} models for {len(config.models)} config entries")
+    for i, (entry, model) in enumerate(zip(config.models, models)):
+        if model.spec != entry.spec:
+            raise ValueError(f"model {i} has spec {model.spec}; config entry {i} has {entry.spec}")
 
     lrs = {id(m): e.lr for m, e in zip(models, config.models)}
     ordered = anchor_select(models) if len(models) >= 2 else list(models)

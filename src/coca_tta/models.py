@@ -174,10 +174,10 @@ def forward_logits(model: ModelHandle, batch: Tensor) -> Tensor:
 def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of softmax(logits) against integer labels, as one node.
 
-    The forward does the operations of ad.logsumexp and picks each row's
-    label logit; the backward is analytic, (g / n) * (softmax - onehot).
-    Value and logits gradient are bit-identical to composing logsumexp,
-    mul by a one-hot matrix, sum, sub and mean on the tape.
+    The forward is ad.logsumexp's softmax pass and picks each row's label
+    logit; the backward is analytic, (g / n) * (softmax - onehot). Value
+    and logits gradient are bit-identical to composing logsumexp, mul by a
+    one-hot matrix, sum, sub and mean on the tape.
     """
     n, c = logits.shape
     labels = np.asarray(labels)
@@ -185,14 +185,11 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ValueError(f"label out of range [0, {c})")
     z = logits.data
     rows = np.arange(n)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=-1, keepdims=True)
-    lse = (m + np.log(s))[..., 0]
+    q, lse = ad._softmax_lse(z)
 
     def bwd(g):
         gn = g / n
-        d = gn * (e / s)
+        d = gn * q
         d[rows, labels] -= gn
         return (d,)
 

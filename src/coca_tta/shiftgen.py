@@ -40,7 +40,7 @@ class SourceTask(Record):
     image_shape: tuple[int, int, int] = (1, 8, 8)
     center_separation: float = 6.0  # pairwise center distance in noise-std units
     noise_std: float = 1.0
-    center_seed: int = 0            # class centers/patterns are a task property
+    center_seed: int = 0            # class centers are a task property
 
     def __post_init__(self):
         if self.kind not in ("gaussian_mixture", "procedural_images"):
@@ -83,24 +83,17 @@ class StreamSpec(Record):
 
 
 def class_centers(task: SourceTask) -> np.ndarray:
-    """Mutually orthogonal class centers with the configured pairwise separation."""
+    """Mutually orthogonal class means of shape (C, *task.feature_shape).
+
+    Their pairwise distance is center_separation noise standard deviations.
+    """
     rng = np.random.default_rng(task.center_seed)
-    raw = rng.standard_normal((task.dims, task.num_classes))
+    c = task.num_classes
+    raw = rng.standard_normal((math.prod(task.feature_shape), c))
     q, _ = np.linalg.qr(raw)
     # orthonormal centers are sqrt(2)*r apart; scale so the distance is sep*noise_std
     radius = task.center_separation * task.noise_std / np.sqrt(2.0)
-    return q[:, :task.num_classes].T * radius
-
-
-def class_patterns(task: SourceTask) -> np.ndarray:
-    """Per-class base images for the procedural image task."""
-    rng = np.random.default_rng(task.center_seed)
-    c = task.num_classes
-    flat = int(np.prod(task.image_shape))
-    raw = rng.standard_normal((flat, c))
-    q, _ = np.linalg.qr(raw)
-    radius = task.center_separation * task.noise_std / np.sqrt(2.0)
-    return (q[:, :c].T * radius).reshape((c,) + task.image_shape)
+    return (q[:, :c].T * radius).reshape((c,) + task.feature_shape)
 
 
 def gen_source(task: SourceTask, n_per_class: int, seed: int):
@@ -108,17 +101,9 @@ def gen_source(task: SourceTask, n_per_class: int, seed: int):
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    c = task.num_classes
-    labels = np.repeat(np.arange(c), n_per_class)
-    if task.kind == "gaussian_mixture":
-        centers = class_centers(task)
-        noise = rng.standard_normal((c * n_per_class, task.dims)) * task.noise_std
-        features = centers[labels] + noise
-    else:
-        patterns = class_patterns(task)
-        noise = rng.standard_normal((c * n_per_class,) + task.image_shape) * task.noise_std
-        features = patterns[labels] + noise
-    return features, labels
+    labels = np.repeat(np.arange(task.num_classes), n_per_class)
+    noise = rng.standard_normal((len(labels),) + task.feature_shape) * task.noise_std
+    return class_centers(task)[labels] + noise, labels
 
 
 def apply_corruption(features: np.ndarray, spec: CorruptionSpec, seed: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Temperature learning, ensembling, losses, and co-adaptation steps."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,10 @@ from coca_tta.adaptation import (FilterConfig, LossMasks, TauState,
                                  drop_auxiliary, ensemble, entropy_rows,
                                  learn_tau, marginal_entropy,
                                  multi_model_step, self_adapt_loss,
-                                 tau_discrepancy, tent_step)
+                                 tent_step)
 from coca_tta.autodiff import SGD, Tape, Tensor
-from coca_tta.models import ModelSpec, build_model, forward_logits
+from coca_tta.models import ModelSpec, build_model, forward_logits, pretrain
+from coca_tta.shiftgen import SourceTask, gen_source
 
 
 def softmax_np(z):
@@ -25,34 +28,6 @@ def softmax_np(z):
 def entropy_np(z):
     p = softmax_np(z)
     return -(p * np.log(p)).sum(axis=-1)
-
-
-class TestTauDiscrepancy:
-    def test_hand_value(self):
-        p_a = np.array([[2.0, 0.0]])
-        p_s = np.array([[4.0, 0.0]])
-        expect = abs(np.exp(2.0) - np.exp(4.0))
-        assert abs(tau_discrepancy(p_a, p_s) - expect) < 1e-12
-
-    def test_identical_logits_zero(self):
-        z = np.random.default_rng(0).standard_normal((8, 5))
-        assert tau_discrepancy(z, z) == 0.0
-
-    def test_batch_mean_reduction(self):
-        p_a = np.array([[1.0, 0.0], [1.0, 0.0]])
-        p_s = np.array([[0.0, 0.0], [0.0, 0.0]])
-        single = tau_discrepancy(p_a[:1], p_s[:1])
-        assert abs(tau_discrepancy(p_a, p_s) - single) < 1e-12
-
-    def test_clamp_limits_exponent(self):
-        p_a = np.array([[500.0]])
-        p_s = np.array([[0.0]])
-        expect = np.exp(20.0) - 1.0
-        assert abs(tau_discrepancy(p_a, p_s) - expect) < 1e-9
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            tau_discrepancy(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestLearnTau:
@@ -105,6 +80,10 @@ class TestLearnTau:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             learn_tau(TauState(steps=-1), np.ones((2, 2)), np.ones((2, 2)))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ad.ShapeError, match="learn_tau: shapes"):
+            learn_tau(TauState(), np.zeros((2, 3)), np.zeros((2, 4)))
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
     def test_state_rejects_non_finite_tau(self, tau):
@@ -610,3 +589,96 @@ class TestCascade:
         inner = ensemble(logits[1], logits[2], tau=1.0)
         top = ensemble(logits[0], inner.p_e, tau=1.0)
         assert np.array_equal(out.y_hat, top.y_hat)
+
+
+STEP_TASK = SourceTask(kind="gaussian_mixture", num_classes=4, dims=6,
+                       center_separation=5.0)
+
+
+@functools.cache
+def pretrained_cascade():
+    """TestCascade's three models, pretrained on STEP_TASK (clone before use)."""
+    feats, labels = gen_source(STEP_TASK, 40, seed=0)
+    ms = TestCascade().models3()
+    for i, m in enumerate(ms):
+        pretrain(m, feats, labels, epochs=4, lr=0.05, seed=i, batch_size=32)
+        m.set_trainable(norm_only=True)
+    return ms
+
+
+def step_batches(seed, n=3):
+    """n noisy batches of 16 rows, 4 per class, in label order."""
+    feats = gen_source(STEP_TASK, 4 * n, seed=seed)[0]
+    noisy = feats + np.random.default_rng(seed).standard_normal(feats.shape)
+    return noisy.reshape(4, n, 4, 6).transpose(1, 0, 2, 3).reshape(n, 16, 6)
+
+
+def adapt_cascade(k, batches, filter_cfg=None, collapse_threshold=0.0):
+    """Adapt clones of the first k pretrained cascade models over batches.
+
+    Returns, per step, the step's output and the norm parameters and SGD
+    velocities after it.
+    """
+    ms = [m.clone() for m in pretrained_cascade()[:k]]
+    states = [TauState() for _ in range(k - 1)]
+    opts = [SGD(m.norm_params(), lr=0.05, momentum=0.9) for m in ms]
+    steps = []
+    for batch in batches:
+        out = multi_model_step(ms, states, batch, opts, filter_cfg=filter_cfg,
+                               collapse_threshold=collapse_threshold)
+        state = [p.data.copy() for m in ms for p in m.norm_params()]
+        steps.append((out, state + [v.copy() for o in opts for v in o.velocity]))
+    return steps
+
+
+def step_arrays(out):
+    """Every array and number a cascade step reports, in a fixed order."""
+    ens, bd = out.ensemble, out.breakdown
+    return [*out.per_model_preds, ens.p_a, ens.p_s, ens.p_e_prime, ens.T, ens.p_e,
+            ens.y_hat, np.array(out.taus + [ens.tau, float(ens.aux_dropped)]),
+            np.array([bd.l_mar, bd.l_ckd, bd.l_sa, bd.l_total, bd.lam_col, bd.kept_frac])]
+
+
+class TestStepMetamorphic:
+    """Symmetries of whole co-adaptation steps, over several batches."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(seed=st.integers(0, 2**32 - 1), filtered=st.booleans(),
+           collapse_threshold=st.sampled_from([0.0, 0.9]))
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    def test_row_permutation_permutes_predictions(self, k, seed, filtered,
+                                                  collapse_threshold):
+        batches = step_batches(seed)
+        rng = np.random.default_rng(seed)
+        perms = [rng.permutation(16) for _ in batches]
+        filter_cfg = FilterConfig(enabled=filtered, threshold_factor=0.3)
+        plain = adapt_cascade(k, batches, filter_cfg, collapse_threshold)
+        permuted = adapt_cascade(k, [b[p] for b, p in zip(batches, perms)],
+                                 filter_cfg, collapse_threshold)
+        for (out, state), (p_out, p_state), perm in zip(plain, permuted, perms):
+            for pred, p_pred in zip(out.per_model_preds + [out.y_hat],
+                                    p_out.per_model_preds + [p_out.y_hat]):
+                assert np.array_equal(p_pred, pred[perm])
+            assert p_out.ensemble.aux_dropped == out.ensemble.aux_dropped
+            # taus and losses
+            np.testing.assert_allclose(np.concatenate(step_arrays(p_out)[-2:]),
+                                       np.concatenate(step_arrays(out)[-2:]),
+                                       rtol=0, atol=1e-13)
+            for a, b in zip(p_state, state):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(seed=st.integers(0, 2**32 - 1), collapse_threshold=st.sampled_from([0.0, 0.9]))
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    def test_filter_keeping_every_row_is_the_unfiltered_step(self, k, seed,
+                                                             collapse_threshold):
+        # an entropy never exceeds ln C, so a factor of 2 keeps every row
+        batches = step_batches(seed)
+        plain = adapt_cascade(k, batches, None, collapse_threshold)
+        kept = adapt_cascade(k, batches, FilterConfig(enabled=True, threshold_factor=2.0),
+                             collapse_threshold)
+        for (out, state), (k_out, k_state) in zip(plain, kept):
+            assert k_out.ensemble.aux_dropped == out.ensemble.aux_dropped
+            for a, b in zip(step_arrays(k_out) + k_state, step_arrays(out) + state):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()

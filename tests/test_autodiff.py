@@ -333,6 +333,28 @@ class TestNormGrads:
     def test_layernorm(self):
         check_op(ad.layernorm, [(6, 5), (5,), (5,)], n_cases=50)
 
+    def test_batchnorm_is_layernorm_of_the_transpose(self):
+        # the shared kernel over axes (0,), features on axis 1, against axes
+        # (-1,), features on axis -1; the layernorm affine is the identity and
+        # batchnorm's affine is applied to its transposed output on the tape
+        rng = np.random.default_rng(2)
+        x, w = rng.normal(1.0, 3.0, size=(2, 7, 5))
+        scale, shift = rng.standard_normal((2, 5))
+        bn = [Tensor(a.copy(), requires_grad=True) for a in (x, scale, shift)]
+        ln = [Tensor(a.copy(), requires_grad=True)
+              for a in (x.T, scale[:, None], shift[:, None])]
+        with Tape():
+            out_bn = ad.batchnorm(*bn)
+            ad.backward(ad.tensor_sum(ad.mul(out_bn, Tensor(w))))
+        with Tape():
+            normed = ad.layernorm(ln[0], Tensor(np.ones(7)), Tensor(np.zeros(7)))
+            out_ln = ad.add(ad.mul(normed, ln[1]), ln[2])
+            ad.backward(ad.tensor_sum(ad.mul(out_ln, Tensor(w.T))))
+        pairs = [(out_bn.data, out_ln.data.T), (bn[0].grad, ln[0].grad.T),
+                 (bn[1].grad, ln[1].grad[:, 0]), (bn[2].grad, ln[2].grad[:, 0])]
+        for got, ref in pairs:
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
     def test_batchnorm_rejects_single_sample(self):
         with pytest.raises(ValueError):
             with Tape():

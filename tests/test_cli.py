@@ -202,6 +202,21 @@ class TestPretrainAdaptReport:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_checkpoints_of_another_config_fail_cleanly(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        assert main(["pretrain", str(write_config(tmp_path, pretrain_epochs=1)),
+                     "--out", str(ckpt)]) == 0
+        other = tmp_path / "other"
+        other.mkdir()
+        doc = json.loads((tmp_path / "config.json").read_text())
+        swapped = write_config(other, models=doc["models"][::-1])
+        out = tmp_path / "out"
+        assert main(["adapt", str(swapped), "--checkpoints", str(ckpt),
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSweep:
     def test_sweep_writes_summary_and_runs(self, tmp_path):
         cfg = write_config(tmp_path)

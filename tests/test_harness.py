@@ -10,7 +10,7 @@ from coca_tta.adaptation import LossMasks
 from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
                               RunConfig, evaluate_accuracy, mix64,
                               point_config, prepare_models_cached, run, sweep_points)
-from coca_tta.models import ModelSpec
+from coca_tta.models import ModelSpec, build_model
 from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
 
 
@@ -250,6 +250,20 @@ class TestRun:
         assert r.acc_combined is None
         assert r.tau_final is None
         assert all(rec.acc_combined is None for rec in r.records)
+
+    @pytest.mark.parametrize("n_entries,order", [
+        (3, [2, 1]),   # three entries configured, two models of other specs
+        (2, [1, 0]),   # the two models swapped: each would get the other's lr
+        (2, [0, 2]),   # a model of another spec in place of the second
+    ], ids=["fewer", "swapped", "other-spec"])
+    def test_rejects_models_that_do_not_match_the_config(self, n_entries, order):
+        base = small_config()
+        entries = base.models + [ModelEntry(
+            spec=replace(base.models[1].spec, hidden_sizes=[6]), lr=0.1)]
+        cfg = replace(base, models=entries[:n_entries])
+        models = [build_model(entries[i].spec, seed=i) for i in order]
+        with pytest.raises(ValueError, match="config entr"):
+            run(cfg, models=models, use_cache=False)
 
     def test_source_only_never_updates(self):
         cfg = small_config(strategy="source_only", seed=6)
