@@ -101,7 +101,14 @@ def _set(doc, path, value):
     target[last] = value
 
 
-_DELETE = object()
+class _Deleted:
+    """Marks a key to delete; its fixed repr keeps the test id stable across runs."""
+
+    def __repr__(self):
+        return "<deleted>"
+
+
+_DELETE = _Deleted()
 
 REJECTED = [
     # (path to the changed value, new value, path named in the error)
