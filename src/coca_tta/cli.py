@@ -8,9 +8,7 @@ overrides the default output root.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
-import ctypes
 import json
 import os
 import sys
@@ -102,21 +100,6 @@ def _sweep_one(cfg_dict: dict, point: dict, index: int, out_dir: str) -> dict:
     }
 
 
-def _one_blas_thread() -> None:
-    """Sweep worker initializer: limit numpy's bundled OpenBLAS to one thread.
-
-    Each worker would otherwise start one BLAS thread per core, so N workers
-    oversubscribe the machine N-fold. Does nothing without that library.
-    """
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib_path in sorted(libs.glob("libscipy_openblas*")):
-        set_threads = getattr(ctypes.CDLL(str(lib_path)),
-                              "scipy_openblas_set_num_threads64_", None)
-        if set_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
-
-
 def cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
@@ -132,20 +115,10 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cfg_dict = cfg.to_dict()
-    rows = [None] * len(points)
     # every point's seed comes from its index, so the worker count never
-    # changes results; workers beyond the number of points would idle
-    workers = min(args.parallel, len(points))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                    initializer=_one_blas_thread) as pool:
-            futures = {pool.submit(_sweep_one, cfg_dict, p, i, str(out)): i
-                       for i, p in enumerate(points)}
-            for fut in concurrent.futures.as_completed(futures):
-                rows[futures[fut]] = fut.result()
-    else:
-        for i, p in enumerate(points):
-            rows[i] = _sweep_one(cfg_dict, p, i, str(out))
+    # changes results
+    jobs = [(cfg_dict, p, i, str(out)) for i, p in enumerate(points)]
+    rows = harness.parallel_map(_sweep_one, jobs, args.parallel)
     columns = ("acc_anchor", "acc_aux", "acc_combined", "tau_final")
     lines = ["run,point," + ",".join(columns)]
     for r in rows:

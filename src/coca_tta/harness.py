@@ -6,12 +6,16 @@ only and accuracies are computed here after each step.
 
 from __future__ import annotations
 
+import concurrent.futures
+import ctypes
 import itertools
 import json
 import math
+import os
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -91,6 +95,12 @@ class RunConfig(Record):
         for name in ("collapse_threshold", "filter_threshold_factor"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if self.pretrain_batch_size < 1:
+            raise ValueError(f"pretrain_batch_size must be >= 1, got {self.pretrain_batch_size}")
+        if self.pretrain_batch_size < 2 and any(e.spec.norm_kind == "batchnorm"
+                                                for e in self.models):
+            raise ValueError("pretrain_batch_size must be >= 2 when a model uses batchnorm: "
+                             "its batch statistics need two samples")
         for entry in self.models:
             if entry.spec.num_classes != self.task.num_classes:
                 raise ValueError(
@@ -168,25 +178,86 @@ def evaluate_accuracy(predictions: np.ndarray, true_labels: np.ndarray) -> float
     return float((predictions == true_labels).mean())
 
 
+# --- process pool ---------------------------------------------------------------
+
+# Set in the workers of parallel_map's pool, whose own jobs then run serially.
+_IN_POOL_WORKER = False
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_worker_init() -> None:
+    """Pool initializer: one BLAS thread, and no pool of the worker's own.
+
+    Each worker would otherwise start one thread of numpy's bundled OpenBLAS
+    per core, so N workers oversubscribe the machine N-fold. Without that
+    library the thread count is left alone.
+    """
+    global _IN_POOL_WORKER
+    _IN_POOL_WORKER = True
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib_path in sorted(libs.glob("libscipy_openblas*")):
+        set_threads = getattr(ctypes.CDLL(str(lib_path)),
+                              "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
+def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
+    """``[fn(*job) for job in jobs]`` on a pool of up to ``workers`` processes.
+
+    Results come back in job order, and a job's exception reaches the
+    caller. With one worker, or inside a pool worker (whose siblings
+    already fill the cores), the jobs run serially in the calling process.
+    The pool takes multiprocessing's start method: a forked worker inherits
+    the caller's imports, where a spawned one would first import numpy again.
+    """
+    workers = min(workers, len(jobs))
+    if workers <= 1 or _IN_POOL_WORKER:
+        return [fn(*job) for job in jobs]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                initializer=_pool_worker_init) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+# --- pretraining ----------------------------------------------------------------
+
+def _pretrain_one(config: RunConfig, i: int) -> tuple[ModelHandle, list[dict]]:
+    """Build and pretrain model ``i``; it reads only the fields of _pretrain_key."""
+    feats, labels = gen_source(config.task, config.n_per_class, mix64(config.seed, 1))
+    entry = config.models[i]
+    model = build_model(entry.spec, mix64(config.seed, 100 + i))
+    log = pretrain(model, feats, labels,
+                   epochs=entry.pretrain_epochs or config.pretrain_epochs,
+                   lr=config.pretrain_lr, seed=mix64(config.seed, 200 + i),
+                   batch_size=config.pretrain_batch_size)
+    return model, log
+
+
 def pretrain_models(config: RunConfig, indices: Optional[Sequence[int]] = None
                     ) -> tuple[list[ModelHandle], list[list[dict]]]:
     """Build and pretrain the configured models (deterministic in the run seed).
 
     Returns the models and each model's pretraining log, for every entry or
-    for the entries at ``indices`` only. Model ``i`` depends on the run
-    config only through the fields of :func:`_pretrain_key`.
+    for the entries at ``indices`` only. Models pretrain in parallel, one
+    process per model up to the usable CPUs; each depends only on the
+    config and its index, so the results equal those of a serial loop.
     """
-    feats, labels = gen_source(config.task, config.n_per_class, mix64(config.seed, 1))
-    models, logs = [], []
-    for i in range(len(config.models)) if indices is None else indices:
-        entry = config.models[i]
-        model = build_model(entry.spec, mix64(config.seed, 100 + i))
-        logs.append(pretrain(model, feats, labels,
-                             epochs=entry.pretrain_epochs or config.pretrain_epochs,
-                             lr=config.pretrain_lr, seed=mix64(config.seed, 200 + i),
-                             batch_size=config.pretrain_batch_size))
-        models.append(model)
-    return models, logs
+    if indices is None:
+        indices = range(len(config.models))
+    done = parallel_map(_pretrain_one, [(config, i) for i in indices], usable_cpus())
+    return [model for model, _ in done], [log for _, log in done]
 
 
 def prepare_models(config: RunConfig) -> list[ModelHandle]:

@@ -205,9 +205,15 @@ def pretrain(model: ModelHandle, features: np.ndarray, labels: np.ndarray,
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(labels)
     if n == 0:
         raise ValueError("empty dataset")
+    if model.spec.norm_kind == "batchnorm" and min(batch_size, n) < 2:
+        raise ValueError(f"no usable batch: a batchnorm model skips batches of one "
+                         f"sample, and {n} sample(s) in batches of {batch_size} make "
+                         f"only those")
     model.set_trainable(norm_only=False)
     opt = SGD(model.all_params(), lr=lr, momentum=momentum)
     rng = np.random.default_rng(seed)

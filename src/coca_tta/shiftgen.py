@@ -78,8 +78,14 @@ class StreamSpec(Record):
     def __post_init__(self):
         if self.order not in ("iid_shuffled", "label_sorted", "mixed_blocks"):
             raise ValueError(f"unsupported stream order: {self.order!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        # make_stream drops batches of fewer than 2 samples, whose batch
+        # statistics are undefined; a stream of them would yield nothing
+        if self.batch_size < 2:
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}: "
+                             "batches of one sample are dropped")
+        if self.total_samples < 0 or self.total_samples == 1:
+            raise ValueError(f"total_samples must be 0 (the whole dataset) or >= 2, "
+                             f"got {self.total_samples}")
 
 
 def class_centers(task: SourceTask) -> np.ndarray:

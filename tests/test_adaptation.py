@@ -682,3 +682,61 @@ class TestStepMetamorphic:
             for a, b in zip(step_arrays(k_out) + k_state, step_arrays(out) + state):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+
+class TestTauMetamorphic:
+    """Tau covariance and the self-pairing fixed point, bit for bit."""
+
+    @staticmethod
+    def logits(seed, spread, rows=16, classes=6):
+        """Anchor logits and correlated auxiliary logits of another scale."""
+        rng = np.random.default_rng(seed)
+        p_a = rng.standard_normal((rows, classes)) * spread
+        scale = rng.uniform(0.2, 5.0)
+        p_s = scale * p_a + rng.standard_normal((rows, classes)) * spread
+        return p_a, p_s
+
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.5, 3.0, 15.0]),
+           tau0=st.floats(0.05, 20.0), steps=st.integers(1, 8),
+           step_size=st.sampled_from([3e-3, 1e-2, 5e-2]),
+           bounds=st.sampled_from([(1e-2, 1e3), (0.5, 2.0)]))
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_doubled_auxiliary_and_tau_double_the_learned_tau(self, seed, spread, tau0,
+                                                              steps, step_size, bounds):
+        p_a, p_s = self.logits(seed, spread)
+        lo, hi = bounds
+        kw = dict(steps=steps, step_size=step_size)
+        one = learn_tau(TauState(tau=tau0, tau_min=lo, tau_max=hi, **kw), p_a, p_s)
+        two = learn_tau(TauState(tau=2 * tau0, tau_min=2 * lo, tau_max=2 * hi, **kw),
+                        p_a, 2 * p_s)
+        assert two.tau == 2 * one.tau
+        ens, ens2 = ensemble(p_a, p_s, one.tau), ensemble(p_a, 2 * p_s, two.tau)
+        for a, b in ((ens.p_e, ens2.p_e), (ens.T, ens2.T), (ens.y_hat, ens2.y_hat)):
+            assert a.tobytes() == b.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.5, 3.0, 30.0]),
+           shift=st.sampled_from([0.0, -2.0]), steps=st.integers(1, 10))
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    def test_anchor_paired_with_its_clone_keeps_tau_one(self, seed, spread, shift, steps):
+        # spread 30 puts logits beyond the clamp of 20; the shift makes rows
+        # whose maximum is <= 0, where the balance factor falls back to 1
+        p_a = self.logits(seed, spread)[0] + shift * spread
+        state = learn_tau(TauState(steps=steps), p_a, p_a.copy())
+        assert state.tau == 1.0
+        ens = ensemble(p_a, p_a.copy(), state.tau)
+        positive = p_a.max(axis=1) > 0
+        assert ens.p_e[positive].tobytes() == p_a[positive].tobytes()
+        assert np.array_equal(ens.y_hat, p_a.argmax(axis=1))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    def test_step_with_a_cloned_auxiliary_keeps_tau_one(self, seed):
+        anchor = pretrained_cascade()[0].clone()
+        pair = [anchor, anchor.clone()]
+        opts = [SGD(m.norm_params(), lr=0.05, momentum=0.9) for m in pair]
+        out = multi_model_step(pair, [TauState()], step_batches(seed)[0], opts)
+        ens = out.ensemble
+        assert out.taus == [1.0]
+        positive = ens.p_a.max(axis=1) > 0
+        assert ens.p_e[positive].tobytes() == ens.p_a[positive].tobytes()
+        assert np.array_equal(out.y_hat, out.per_model_preds[0])

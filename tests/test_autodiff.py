@@ -454,6 +454,26 @@ class TestSGD:
             opt.step()
         assert np.allclose(p.data, -0.1 * (1.0 + 1.9))
 
+    @pytest.mark.parametrize("lr,momentum", [(0.1, 0.9), (0.03, 0.0), (1e-3, 0.5)])
+    def test_momentum_steps_match_reference_formula_exactly(self, lr, momentum):
+        rng = np.random.default_rng(5)
+        shapes = [(3, 4), (7,), (2, 1, 3, 3)]
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        ref_p = [p.data.copy() for p in params]
+        ref_v = [np.zeros(s) for s in shapes]
+        opt = SGD(params, lr=lr, momentum=momentum)
+        for _ in range(6):
+            grads = [rng.standard_normal(s) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step()
+            for i, g in enumerate(grads):
+                ref_v[i] = momentum * ref_v[i] + g
+                ref_p[i] = ref_p[i] - lr * ref_v[i]
+            for p, rp, v, rv in zip(params, ref_p, opt.velocity, ref_v):
+                assert np.array_equal(p.data, rp)
+                assert np.array_equal(v, rv)
+
     def test_step_clears_grads(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = SGD([p], lr=0.1)

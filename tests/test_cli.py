@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coca_tta import cli, harness, models
+from coca_tta import harness, models
 from coca_tta.cli import ConfigError, main, validate_config
 from coca_tta.shiftgen import StreamSpec, load_dataset
 
@@ -274,16 +274,19 @@ class TestSweep:
 
     def test_parallel_capped_at_point_count(self, tmp_path, monkeypatch):
         # a thread pool with one worker stands in for the process pool, so
-        # no process starts; only the requested worker count is recorded
+        # no process starts; only the requested worker count is recorded.
+        # Its threads are no pool workers, so one usable CPU keeps each
+        # point's pretraining from asking for a pool of its own.
         requested = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers, initializer):
                 requested.append(max_workers)
-                assert initializer is cli._one_blas_thread
+                assert initializer is harness._pool_worker_init
                 super().__init__(max_workers=1)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         cfg = write_config(tmp_path)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"tau_steps": [1, 5]}))
@@ -298,7 +301,7 @@ class TestSweep:
         # a spawned worker starts from OpenBLAS's default thread count
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=1, mp_context=multiprocessing.get_context("spawn"),
-                initializer=cli._one_blas_thread) as pool:
+                initializer=harness._pool_worker_init) as pool:
             assert pool.submit(worker_blas_threads).result() == 1
 
     def test_invalid_point_fails_before_any_run(self, tmp_path, capsys):

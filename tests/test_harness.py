@@ -1,5 +1,8 @@
-"""Run orchestration: configs, determinism, metrics, sweeps."""
+"""Run orchestration: configs, determinism, metrics, sweeps, the process pool."""
 
+import concurrent.futures
+import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +96,26 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="tau_min"):
             small_config(tau_min=tau_min, tau_max=tau_max)
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_rejects_pretrain_batch_size_below_one(self, size):
+        with pytest.raises(ValueError, match="pretrain_batch_size must be >= 1"):
+            small_config(pretrain_batch_size=size)
+
+    def test_batchnorm_needs_pretrain_batches_of_two(self):
+        # small_config's auxiliary uses batchnorm, which skips every batch
+        # of one sample, so its pretraining would see no batch at all
+        with pytest.raises(ValueError, match="pretrain_batch_size must be >= 2"):
+            small_config(pretrain_batch_size=1)
+        layernorm = [small_config().models[0]] * 2
+        assert small_config(models=layernorm, pretrain_batch_size=1).pretrain_batch_size == 1
+
+    def test_rejects_a_stream_of_single_sample_batches(self):
+        # make_stream drops such batches; the run used to divide by zero samples
+        doc = small_config().to_dict()
+        doc["stream"]["batch_size"] = 1
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            RunConfig.from_dict(doc)
+
     @pytest.mark.parametrize("name", ["collapse_threshold", "filter_threshold_factor"])
     def test_thresholds_in_unit_interval(self, name):
         for bad in (-0.1, 1.5, float("nan")):
@@ -151,8 +174,12 @@ class TestPretrainCache:
 
     @staticmethod
     def count_pretrains(monkeypatch) -> list:
-        """Start from an empty cache; return a list that grows per pretrained model."""
+        """Start from an empty cache; return a list that grows per pretrained model.
+
+        One usable CPU keeps pretraining in this process, where it is counted.
+        """
         monkeypatch.setattr(harness, "_PRETRAIN_CACHE", type(harness._PRETRAIN_CACHE)())
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         calls, pretrain = [], harness.pretrain
         monkeypatch.setattr(harness, "pretrain",
                             lambda *a, **kw: calls.append(1) or pretrain(*a, **kw))
@@ -224,6 +251,103 @@ class TestPretrainCache:
             prepare_models_cached(keep)   # kept recent, so never evicted
         assert len(harness._PRETRAIN_CACHE) == cap
         assert len(calls) == 2 * (cap // 2 + 2)
+
+
+def conv_config(**overrides):
+    """Three batchnorm convnets of different widths on 6x6 images."""
+    task = SourceTask(kind="procedural_images", num_classes=4, image_shape=(1, 6, 6),
+                      center_separation=9.0)
+    entries = [ModelEntry(spec=ModelSpec(kind="convnet", input_shape=(1, 6, 6),
+                                         hidden_sizes=ch, norm_kind="batchnorm",
+                                         num_classes=4), lr=0.05)
+               for ch in ([6, 8], [4, 4], [2, 3])]
+    kwargs = dict(models=entries, task=task, strategy="coca", n_per_class=12,
+                  pretrain_epochs=2, pretrain_batch_size=20, seed=3)
+    kwargs.update(overrides)
+    return RunConfig(**kwargs)
+
+
+def nested_pids():
+    """This process's pid, and the pids that a nested two-job parallel_map ran in."""
+    return os.getpid(), harness.parallel_map(os.getpid, [(), ()], 2)
+
+
+def fail_on_one(i):
+    if i == 1:
+        raise LookupError(f"job {i} has no entry")
+    return i
+
+
+class TestProcessPool:
+    @staticmethod
+    def record_pools(monkeypatch, processes: bool) -> list:
+        """Record the worker count of every pool that parallel_map starts.
+
+        With processes=False a one-thread pool runs the jobs, so no process
+        starts; its thread is no pool worker.
+        """
+        requested = []
+        base = (concurrent.futures.ProcessPoolExecutor if processes
+                else concurrent.futures.ThreadPoolExecutor)
+
+        class RecordingPool(base):
+            def __init__(self, max_workers, initializer):
+                requested.append(max_workers)
+                assert initializer is harness._pool_worker_init
+                if processes:
+                    super().__init__(max_workers=max_workers, initializer=initializer)
+                else:
+                    super().__init__(max_workers=1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return requested
+
+    @staticmethod
+    def pretrained_bytes(models, logs) -> list:
+        return [[p.data.tobytes() for p in m.all_params()] for m in models] + [json.dumps(logs)]
+
+    @pytest.mark.parametrize("n_models,cpus,expected", [
+        (3, 2, [2]), (3, 8, [3]), (2, 2, [2]), (3, 1, []), (1, 4, [])])
+    def test_worker_count_is_models_capped_at_cpus(self, monkeypatch, n_models, cpus,
+                                                   expected):
+        requested = self.record_pools(monkeypatch, processes=False)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
+        models, logs = harness.pretrain_models(conv_config(pretrain_epochs=1),
+                                               range(n_models))
+        assert requested == expected
+        assert len(models) == len(logs) == n_models
+
+    def test_call_inside_a_pool_worker_runs_serially(self):
+        outer = harness.parallel_map(nested_pids, [(), ()], 2)
+        for pid, inner in outer:
+            assert pid != os.getpid()
+            assert inner == [pid, pid]
+
+    def test_worker_exception_reaches_the_caller(self):
+        with pytest.raises(LookupError, match="job 1 has no entry"):
+            harness.parallel_map(fail_on_one, [(0,), (1,), (2,)], 2)
+
+    def test_pool_matches_serial_loop_byte_for_byte(self, monkeypatch):
+        cfg = conv_config()
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
+        serial = self.pretrained_bytes(*harness.pretrain_models(cfg))
+        requested = self.record_pools(monkeypatch, processes=True)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
+        pooled = self.pretrained_bytes(*harness.pretrain_models(cfg))
+        assert requested == [3]
+        assert pooled == serial
+
+    def test_cache_fills_in_the_calling_process(self, monkeypatch):
+        monkeypatch.setattr(harness, "_PRETRAIN_CACHE", type(harness._PRETRAIN_CACHE)())
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
+        requested = self.record_pools(monkeypatch, processes=True)
+        cfg = conv_config()
+        first = prepare_models_cached(cfg)
+        again = prepare_models_cached(cfg)
+        assert requested == [2]
+        assert len(harness._PRETRAIN_CACHE) == 3
+        assert ([[p.data.tobytes() for p in m.all_params()] for m in first]
+                == [[p.data.tobytes() for p in m.all_params()] for m in again])
 
 
 class TestRun:

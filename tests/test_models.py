@@ -285,6 +285,24 @@ class TestPretrain:
             pretrain(model, np.zeros((0, 4)), np.zeros(0, dtype=int),
                      epochs=1, lr=0.1, seed=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -2])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        feats, labels = self.task_data()
+        model = build_model(small_spec(hidden=(8,), dims=8, classes=4), seed=0)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            pretrain(model, feats, labels, epochs=1, lr=0.1, seed=0, batch_size=batch_size)
+
+    @pytest.mark.parametrize("n,batch_size", [(200, 1), (1, 64)])
+    def test_batchnorm_without_a_usable_batch_raises(self, n, batch_size):
+        # batchnorm skips batches of one sample; an epoch of only those
+        # used to end in a ZeroDivisionError
+        feats, labels = self.task_data()
+        model = build_model(small_spec(hidden=(8,), norm="batchnorm", dims=8, classes=4),
+                            seed=0)
+        with pytest.raises(ValueError, match="no usable batch"):
+            pretrain(model, feats[:n], labels[:n], epochs=1, lr=0.1, seed=0,
+                     batch_size=batch_size)
+
     def test_rejects_zero_epochs(self):
         feats, labels = self.task_data()
         model = build_model(small_spec(hidden=(8,), dims=8, classes=4), seed=0)

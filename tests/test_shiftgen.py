@@ -204,6 +204,17 @@ class TestStreams:
         with pytest.raises(ValueError):
             StreamSpec(order="sorted_by_vibes")
 
+    @pytest.mark.parametrize("batch_size", [1, 0, -4])
+    def test_rejects_batches_below_two(self, batch_size):
+        # make_stream drops every batch of one sample, so such a stream is empty
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            StreamSpec(batch_size=batch_size)
+
+    @pytest.mark.parametrize("total", [1, -1])
+    def test_rejects_a_total_that_makes_no_batch(self, total):
+        with pytest.raises(ValueError, match="total_samples"):
+            StreamSpec(total_samples=total)
+
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
