@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import os
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,6 +52,10 @@ class ModelEntry(Record):
     lr: float
     # per-model pretraining budget; None falls back to the run value
     pretrain_epochs: Optional[int] = None
+
+    def __post_init__(self):
+        if self.pretrain_epochs is not None and self.pretrain_epochs < 1:
+            raise ValueError(f"pretrain_epochs must be >= 1 or None, got {self.pretrain_epochs}")
 
 
 @dataclass
@@ -95,8 +100,9 @@ class RunConfig(Record):
         for name in ("collapse_threshold", "filter_threshold_factor"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if self.pretrain_batch_size < 1:
-            raise ValueError(f"pretrain_batch_size must be >= 1, got {self.pretrain_batch_size}")
+        for name in ("n_per_class", "pretrain_epochs", "pretrain_batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.pretrain_batch_size < 2 and any(e.spec.norm_kind == "batchnorm"
                                                 for e in self.models):
             raise ValueError("pretrain_batch_size must be >= 2 when a model uses batchnorm: "
@@ -107,6 +113,10 @@ class RunConfig(Record):
                     f"model classes {entry.spec.num_classes} incompatible with "
                     f"task classes {self.task.num_classes}")
 
+    def epochs_of(self, i: int) -> int:
+        """Model ``i``'s pretraining budget: its entry's, else the run's."""
+        own = self.models[i].pretrain_epochs
+        return self.pretrain_epochs if own is None else own
 
 
 @dataclass
@@ -191,12 +201,23 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
 def _pool_worker_init() -> None:
-    """Pool initializer: one BLAS thread, and no pool of the worker's own.
+    """Pool initializer: one BLAS thread, a kept heap, and no pool of its own.
 
     Each worker would otherwise start one thread of numpy's bundled OpenBLAS
     per core, so N workers oversubscribe the machine N-fold. Without that
     library the thread count is left alone.
+
+    A fresh worker's glibc also hands the multi-MB arrays of a pretraining
+    step back to the kernel when they are freed, and faults them in again on
+    the next step. Pinning both its mmap and trim thresholds keeps them on
+    the heap; setting either alone turns off glibc's dynamic adjustment of
+    the other and faults more than the default. Without mallopt (no glibc)
+    the allocator is left alone, and the calling process never changes it.
     """
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
@@ -207,6 +228,15 @@ def _pool_worker_init() -> None:
         if set_threads is not None:
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             set_threads(1)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        # glibc's own ceiling for its dynamic mmap threshold on 64-bit, and
+        # twice that to trim; mallopt returns 1 on success, and the trim
+        # threshold goes only with the mmap one, since alone it is worse
+        if not (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+                and mallopt(_M_TRIM_THRESHOLD, 64 << 20) == 1):
+            warnings.warn("mallopt rejected a pool worker's heap threshold", RuntimeWarning)
 
 
 def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
@@ -236,10 +266,9 @@ def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
 def _pretrain_one(config: RunConfig, i: int) -> tuple[ModelHandle, list[dict]]:
     """Build and pretrain model ``i``; it reads only the fields of _pretrain_key."""
     feats, labels = gen_source(config.task, config.n_per_class, mix64(config.seed, 1))
-    entry = config.models[i]
-    model = build_model(entry.spec, mix64(config.seed, 100 + i))
+    model = build_model(config.models[i].spec, mix64(config.seed, 100 + i))
     log = pretrain(model, feats, labels,
-                   epochs=entry.pretrain_epochs or config.pretrain_epochs,
+                   epochs=config.epochs_of(i),
                    lr=config.pretrain_lr, seed=mix64(config.seed, 200 + i),
                    batch_size=config.pretrain_batch_size)
     return model, log
@@ -274,13 +303,12 @@ _PRETRAIN_CACHE: OrderedDict[str, ModelHandle] = OrderedDict()
 
 def _pretrain_key(config: RunConfig, i: int) -> str:
     """Everything pretraining model ``i`` reads; its adaptation lr is not."""
-    entry = config.models[i]
     return json.dumps({
-        "spec": entry.spec.to_dict(),
+        "spec": config.models[i].spec.to_dict(),
         "index": i,
         "task": config.task.to_dict(),
         "n_per_class": config.n_per_class,
-        "epochs": entry.pretrain_epochs or config.pretrain_epochs,
+        "epochs": config.epochs_of(i),
         "lr": config.pretrain_lr,
         "batch_size": config.pretrain_batch_size,
         "seed": config.seed,

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
+from ._framing import Reader, write_u32s
 from .autodiff import SGD, Tape, Tensor
 from .record import Record
 
@@ -253,21 +252,6 @@ def anchor_select(models: Sequence[ModelHandle]) -> list[ModelHandle]:
 
 # --- checkpoint IO -----------------------------------------------------------
 
-def _write_u32(f: BinaryIO, v: int) -> None:
-    f.write(struct.pack("<I", v))
-
-
-def _read_u32(f: BinaryIO) -> int:
-    return struct.unpack("<I", _read_exact(f, 4, "checkpoint file"))[0]
-
-
-def _read_exact(f: BinaryIO, size: int, what: str) -> bytes:
-    """Read ``size`` bytes, checking the size against the bytes left first."""
-    if size > os.fstat(f.fileno()).st_size - f.tell():
-        raise CheckpointError(f"truncated {what}")
-    return f.read(size)
-
-
 def save_checkpoint(model: ModelHandle, path: str) -> None:
     meta = json.dumps({
         "spec": model.spec.to_dict(),
@@ -276,28 +260,26 @@ def save_checkpoint(model: ModelHandle, path: str) -> None:
     }, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        _write_u32(f, CHECKPOINT_VERSION)
-        _write_u32(f, len(meta))
+        write_u32s(f, CHECKPOINT_VERSION, len(meta))
         f.write(meta)
         for name, p in model.params.items():
             nb = name.encode("utf-8")
-            _write_u32(f, len(nb))
+            write_u32s(f, len(nb))
             f.write(nb)
-            _write_u32(f, p.data.ndim)
-            for d in p.data.shape:
-                _write_u32(f, d)
+            write_u32s(f, p.data.ndim, *p.data.shape)
             f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> ModelHandle:
     with open(path, "rb") as f:
+        r = Reader(f, CheckpointError)
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint magic: {magic!r}")
-        version = _read_u32(f)
+        version, = r.u32s(1, "checkpoint version")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version: {version}")
-        meta_raw = _read_exact(f, _read_u32(f), "checkpoint metadata")
+        meta_raw = r.exact(*r.u32s(1, "checkpoint metadata size"), "checkpoint metadata")
         try:
             meta = json.loads(meta_raw.decode("utf-8"))
             spec = ModelSpec.from_dict(meta["spec"])
@@ -309,26 +291,19 @@ def load_checkpoint(path: str) -> ModelHandle:
         count = sum(math.prod(shape) for shape in param_shapes(spec).values())
         if count != param_count:
             raise CheckpointError("param_count mismatch in checkpoint metadata")
-        if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
+        if 8 * count > r.left():
             raise CheckpointError(f"truncated checkpoint: {count} parameters declared")
         model = build_model(spec, seed)
         loaded = {}
-        while True:
-            raw = f.read(4)
-            if not raw:
-                break
-            if len(raw) != 4:
-                raise CheckpointError("truncated checkpoint blob header")
-            name_raw = _read_exact(f, struct.unpack("<I", raw)[0], "parameter name")
+        while r.left():
+            name_raw = r.exact(*r.u32s(1, "checkpoint blob header"), "parameter name")
             try:
                 name = name_raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(f"parameter name is not UTF-8: {name_raw!r}") from None
-            rank = _read_u32(f)
-            dims = struct.unpack(f"<{rank}I",
-                                 _read_exact(f, 4 * rank, f"shape of parameter {name!r}"))
-            data = _read_exact(f, 8 * math.prod(dims), f"data for parameter {name!r}")
-            loaded[name] = np.frombuffer(data, dtype="<f8").reshape(dims).copy()
+            dims = r.u32s(*r.u32s(1, f"rank of parameter {name!r}"),
+                          f"shape of parameter {name!r}")
+            loaded[name] = r.array(dims, "<f8", f"data for parameter {name!r}")
     if set(loaded) != set(model.params):
         raise CheckpointError("checkpoint parameter names do not match model spec")
     for name, arr in loaded.items():

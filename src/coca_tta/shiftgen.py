@@ -7,13 +7,12 @@ Severity tables are artifact-defined and monotone in corruption strength.
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 import numpy as np
 
+from ._framing import Reader, write_u32s
 from .record import Record
 
 DATASET_MAGIC = b"COCD"
@@ -200,41 +199,24 @@ def save_dataset(path: str, features: np.ndarray, labels: np.ndarray) -> None:
         raise DatasetError("features and labels length mismatch")
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
-        f.write(struct.pack("<I", DATASET_VERSION))
-        f.write(struct.pack("<I", len(labels)))
-        f.write(struct.pack("<I", features.ndim))
-        for d in features.shape:
-            f.write(struct.pack("<I", d))
+        write_u32s(f, DATASET_VERSION, len(labels), features.ndim, *features.shape)
         f.write(np.ascontiguousarray(features, dtype="<f8").tobytes())
         f.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
 
 
 def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "rb") as f:
+        r = Reader(f, DatasetError)
         magic = f.read(4)
         if magic != DATASET_MAGIC:
             raise DatasetError(f"bad dataset magic: {magic!r}")
-        version = _read_u32(f)
+        version, = r.u32s(1, "dataset version")
         if version != DATASET_VERSION:
             raise DatasetError(f"unsupported dataset version: {version}")
-        count = _read_u32(f)
-        rank = _read_u32(f)
-        dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dataset shape"))
+        count, rank = r.u32s(2, "dataset header")
+        dims = r.u32s(rank, "dataset shape")
         if not dims or dims[0] != count:
             raise DatasetError("dataset shape does not match sample count")
-        raw = _read_exact(f, 8 * math.prod(dims), "dataset features")
-        features = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
-        raw = _read_exact(f, 4 * count, "dataset labels")
-        labels = np.frombuffer(raw, dtype="<u4").astype(np.int64)
+        features = r.array(dims, "<f8", "dataset features")
+        labels = r.array((count,), "<u4", "dataset labels").astype(np.int64)
     return features, labels
-
-
-def _read_u32(f: BinaryIO) -> int:
-    return struct.unpack("<I", _read_exact(f, 4, "dataset file"))[0]
-
-
-def _read_exact(f: BinaryIO, size: int, what: str) -> bytes:
-    """Read ``size`` bytes, checking the size against the bytes left first."""
-    if size > os.fstat(f.fileno()).st_size - f.tell():
-        raise DatasetError(f"truncated {what}")
-    return f.read(size)

@@ -314,6 +314,27 @@ class TestSweep:
         assert "identically 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid,message", [
+        ({"pretrain_epochs": [2, 0]}, "<point 1>: pretrain_epochs must be >= 1, got 0"),
+        ({"n_per_class": [0]}, "<point 0>: n_per_class must be >= 1, got 0"),
+    ], ids=["pretrain_epochs", "n_per_class"])
+    def test_empty_pretraining_fails_before_any_pool(self, tmp_path, capsys, monkeypatch,
+                                                     grid, message):
+        # such points used to fail inside the pretraining jobs, after the
+        # output directory was written and the pool had started
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = write_config(tmp_path)
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid_path), "--out", str(out),
+                     "--parallel", "2"]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid,path", [
         ({"loss_masks": [{"sa": "no"}]}, "<point 0>.loss_masks.sa"),
         ({"lam_col": ["0.5"]}, "<point 0>.lam_col"),

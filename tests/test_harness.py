@@ -1,9 +1,15 @@
 """Run orchestration: configs, determinism, metrics, sweeps, the process pool."""
 
 import concurrent.futures
+import ctypes
 import json
+import multiprocessing
 import os
+import resource
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +106,31 @@ class TestRunConfig:
     def test_rejects_pretrain_batch_size_below_one(self, size):
         with pytest.raises(ValueError, match="pretrain_batch_size must be >= 1"):
             small_config(pretrain_batch_size=size)
+
+    @pytest.mark.parametrize("name", ["pretrain_epochs", "n_per_class"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_rejects_pretraining_sizes_below_one(self, name, value):
+        # they used to fail only inside the pretraining jobs, after the pool started
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_rejects_an_entry_budget_below_one(self, epochs):
+        # an entry budget of 0 used to pretrain for the run's epoch count
+        entry = small_config().models[0]
+        with pytest.raises(ValueError, match="pretrain_epochs must be >= 1 or None"):
+            replace(entry, pretrain_epochs=epochs)
+        doc = small_config().to_dict()
+        doc["models"][1]["pretrain_epochs"] = epochs
+        with pytest.raises(ValueError, match=r"<root>\.models\[1\]: pretrain_epochs"):
+            RunConfig.from_dict(doc)
+
+    def test_an_entry_budget_overrides_the_runs(self):
+        cfg = small_config(pretrain_epochs=3)
+        cfg.models[1] = replace(cfg.models[1], pretrain_epochs=1)
+        assert [cfg.epochs_of(i) for i in range(2)] == [3, 1]
+        _, logs = harness.pretrain_models(cfg)
+        assert [len(log) for log in logs] == [3, 1]
 
     def test_batchnorm_needs_pretrain_batches_of_two(self):
         # small_config's auxiliary uses batchnorm, which skips every batch
@@ -278,6 +309,40 @@ def fail_on_one(i):
     return i
 
 
+def second_pretrain_faults() -> int:
+    """Minor page faults of the second of two equal convnet pretrainings here."""
+    task = SourceTask(kind="procedural_images", num_classes=10, image_shape=(1, 8, 8),
+                      center_separation=9.0)
+    entry = ModelEntry(spec=ModelSpec(kind="convnet", input_shape=(1, 8, 8),
+                                      hidden_sizes=[8, 16], norm_kind="batchnorm",
+                                      num_classes=10), lr=0.05)
+    cfg = RunConfig(models=[entry], task=task, strategy="tent", n_per_class=13,
+                    pretrain_epochs=3)
+    harness._pretrain_one(cfg, 0)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    harness._pretrain_one(cfg, 0)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+# Serial pretraining of a 128-wide anchor in a fresh interpreter: the
+# OpenBLAS thread count it ran with, and a digest of its parameters.
+BLAS_PROBE = """
+import ctypes, hashlib, json, sys
+from pathlib import Path
+import numpy as np
+from coca_tta import harness
+threads = None
+for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+    get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.argtypes, get.restype = [], ctypes.c_int
+        threads = get()
+models, _ = harness.pretrain_models(harness.RunConfig.from_dict(json.loads(sys.argv[1])), [0])
+digest = hashlib.sha256(b"".join(p.data.tobytes() for p in models[0].all_params()))
+print(json.dumps({"threads": threads, "digest": digest.hexdigest()}))
+"""
+
+
 class TestProcessPool:
     @staticmethod
     def record_pools(monkeypatch, processes: bool) -> list:
@@ -322,6 +387,55 @@ class TestProcessPool:
         for pid, inner in outer:
             assert pid != os.getpid()
             assert inner == [pid, pid]
+
+    def test_workers_keep_their_heap(self):
+        if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+            pytest.skip("no glibc mallopt: the allocator is left alone")
+        # a spawned worker starts from glibc's defaults, whatever this
+        # process's heap has been through
+        faults = []
+        for init in (None, harness._pool_worker_init):
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=1, mp_context=multiprocessing.get_context("spawn"),
+                    initializer=init) as pool:
+                faults.append(pool.submit(second_pretrain_faults).result())
+        default, pinned = faults
+        assert default >= 10 * max(pinned, 1), faults
+
+    def test_serial_path_never_runs_the_worker_init(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("the calling process ran the pool initializer")
+
+        monkeypatch.setattr(harness, "_pool_worker_init", forbidden)
+        pid = os.getpid()
+        assert harness.parallel_map(os.getpid, [(), ()], 1) == [pid, pid]
+        assert harness.parallel_map(os.getpid, [()], 4) == [pid]
+        assert not harness._IN_POOL_WORKER
+
+    def test_serial_pretraining_ignores_the_blas_thread_count(self):
+        if harness.usable_cpus() < 2:
+            pytest.skip("OpenBLAS runs one thread on one CPU")
+        # 64x128 by 128x128 products lie above OpenBLAS's threading threshold
+        anchor = ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(32,),
+                                           hidden_sizes=[128, 128, 128],
+                                           norm_kind="layernorm", num_classes=16), lr=1e-3)
+        task = SourceTask(kind="gaussian_mixture", num_classes=16, dims=32,
+                          center_separation=4.5)
+        cfg = RunConfig(models=[anchor], task=task, strategy="tent", n_per_class=20,
+                        pretrain_epochs=3, seed=5)
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        # the fresh interpreter imports the package under test, not another copy
+        env["PYTHONPATH"] = str(Path(harness.__file__).resolve().parents[1])
+        results = []
+        for threads in ("1", "2"):
+            out = subprocess.run([sys.executable, "-c", BLAS_PROBE, json.dumps(cfg.to_dict())],
+                                 env={**env, "OPENBLAS_NUM_THREADS": threads},
+                                 capture_output=True, text=True, check=True)
+            results.append(json.loads(out.stdout))
+        if results[0]["threads"] is not None:
+            assert [r["threads"] for r in results] == [1, 2]
+        assert results[0]["digest"] == results[1]["digest"]
 
     def test_worker_exception_reaches_the_caller(self):
         with pytest.raises(LookupError, match="job 1 has no entry"):
