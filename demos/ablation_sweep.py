@@ -26,13 +26,12 @@ base = RunConfig(
     n_per_class=200, pretrain_epochs=20, seed=7)
 
 print("loss-term ablation (same seed, same stream):")
-results = ablation_sweep(base, {"loss_masks": list(MASK_NAMES)},
-                         derive_seeds=False)
+results = ablation_sweep(base, {"loss_masks": list(MASK_NAMES), "seed": [base.seed]})
 for point, report in sorted(results, key=lambda r: -r[1].acc_combined):
     print(f"  {point['loss_masks']:11s} combined {report.acc_combined:.3f}")
 
 print("\ninner temperature steps per batch:")
-for point, report in ablation_sweep(base, {"tau_steps": [0, 1, 5, 10]},
-                                    derive_seeds=False):
+for point, report in ablation_sweep(base, {"tau_steps": [0, 1, 5, 10],
+                                           "seed": [base.seed]}):
     print(f"  K={point['tau_steps']:2d}  combined {report.acc_combined:.3f}  "
           f"tau final {report.tau_final:.3f}")

@@ -1,8 +1,8 @@
 """Command-line entry point: pretrain | adapt | sweep | report | dataset-export | dataset-import.
 
 All randomness flows from a single seed; sweep entry i derives its seed
-as splitmix64(seed, 1000 + i). The COCA_OUT_DIR environment variable
-overrides the default output root.
+as splitmix64(seed, 1000 + i) unless it sets one. The COCA_OUT_DIR
+environment variable overrides the default output root.
 """
 
 from __future__ import annotations
@@ -142,7 +142,13 @@ def cmd_report(args) -> int:
         name = path.parent.relative_to(root).as_posix()
         name = name if name != "." else path.parent.name
         with open(path, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
+            rows = csv.DictReader(f)
+            if rows.fieldnames != harness.CSV_HEADER.split(","):
+                raise ValueError(f"{path}: header is not {harness.CSV_HEADER!r}")
+            for row in rows:
+                if None in row or None in row.values():   # too many or too few fields
+                    raise ValueError(f"{path}: line {rows.line_num} does not have the "
+                                     f"header's {len(rows.fieldnames)} fields")
                 for col in _PLOT_COLUMNS:
                     if row[col] != "NA":
                         out_lines.append(f"{name}/{col},{row['batch']},{row[col]}")
@@ -164,6 +170,8 @@ def cmd_dataset_export(args) -> int:
 
 def cmd_dataset_import(args) -> int:
     feats, labels = shiftgen.load_dataset(args.in_file)
+    if len(labels) == 0:
+        raise shiftgen.DatasetError(f"{args.in_file}: dataset holds no samples")
     hist = np.bincount(labels).tolist()
     summary = {
         "schema": 1,

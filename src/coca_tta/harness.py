@@ -54,6 +54,8 @@ class ModelEntry(Record):
     pretrain_epochs: Optional[int] = None
 
     def __post_init__(self):
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.pretrain_epochs is not None and self.pretrain_epochs < 1:
             raise ValueError(f"pretrain_epochs must be >= 1 or None, got {self.pretrain_epochs}")
 
@@ -103,6 +105,13 @@ class RunConfig(Record):
         for name in ("n_per_class", "pretrain_epochs", "pretrain_batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.pretrain_lr < math.inf:
+            raise ValueError(f"pretrain_lr must be finite and >= 0, got {self.pretrain_lr}")
+        if self.tau_steps < 0:
+            raise ValueError(f"tau_steps must be >= 0, got {self.tau_steps}")
+        for name in ("tau_step_size", "tau_clamp"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.pretrain_batch_size < 2 and any(e.spec.norm_kind == "batchnorm"
                                                 for e in self.models):
             raise ValueError("pretrain_batch_size must be >= 2 when a model uses batchnorm: "
@@ -263,75 +272,60 @@ def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
 
 # --- pretraining ----------------------------------------------------------------
 
-def _pretrain_one(config: RunConfig, i: int) -> tuple[ModelHandle, list[dict]]:
-    """Build and pretrain model ``i``; it reads only the fields of _pretrain_key."""
-    feats, labels = gen_source(config.task, config.n_per_class, mix64(config.seed, 1))
-    model = build_model(config.models[i].spec, mix64(config.seed, 100 + i))
-    log = pretrain(model, feats, labels,
-                   epochs=config.epochs_of(i),
-                   lr=config.pretrain_lr, seed=mix64(config.seed, 200 + i),
-                   batch_size=config.pretrain_batch_size)
+def _pretrain_job(config: RunConfig, i: int) -> tuple:
+    """Everything pretraining model ``i`` reads, as _pretrain_one's arguments.
+
+    Its repr is the model's cache key; the entry's adaptation lr is not part of it.
+    """
+    return (config.models[i].spec, i, config.task, config.n_per_class, config.epochs_of(i),
+            config.pretrain_lr, config.pretrain_batch_size, config.seed)
+
+
+def _pretrain_one(spec: ModelSpec, index: int, task: SourceTask, n_per_class: int,
+                  epochs: int, lr: float, batch_size: int, seed: int
+                  ) -> tuple[ModelHandle, list[dict]]:
+    """Build and pretrain the model at ``index`` of a run with this ``seed``."""
+    feats, labels = gen_source(task, n_per_class, mix64(seed, 1))
+    model = build_model(spec, mix64(seed, 100 + index))
+    log = pretrain(model, feats, labels, epochs=epochs, lr=lr,
+                   seed=mix64(seed, 200 + index), batch_size=batch_size)
     return model, log
 
 
-def pretrain_models(config: RunConfig, indices: Optional[Sequence[int]] = None
+# Pretrained models and logs of recent runs, one per model entry, least
+# recently used first. The cap bounds a long-lived process; the reference
+# anchor holds about 0.3 MB of parameters.
+PRETRAIN_CACHE_CAP = 32
+_PRETRAIN_CACHE: OrderedDict[str, tuple[ModelHandle, list[dict]]] = OrderedDict()
+
+
+def pretrain_models(config: RunConfig, cache: bool = False
                     ) -> tuple[list[ModelHandle], list[list[dict]]]:
     """Build and pretrain the configured models (deterministic in the run seed).
 
-    Returns the models and each model's pretraining log, for every entry or
-    for the entries at ``indices`` only. Models pretrain in parallel, one
-    process per model up to the usable CPUs; each depends only on the
-    config and its index, so the results equal those of a serial loop.
+    Returns the models and each model's pretraining log. Models pretrain in
+    parallel, one process per model up to the usable CPUs; each depends only
+    on its job, so the results equal those of a serial loop. With ``cache``,
+    only the models missing from the per-model cache pretrain, and the
+    caller gets clones it may adapt freely.
     """
-    if indices is None:
-        indices = range(len(config.models))
-    done = parallel_map(_pretrain_one, [(config, i) for i in indices], usable_cpus())
-    return [model for model, _ in done], [log for _, log in done]
+    jobs = [_pretrain_job(config, i) for i in range(len(config.models))]
+    store = _PRETRAIN_CACHE if cache else OrderedDict()
+    missing = [job for job in jobs if repr(job) not in store]
+    store.update(zip(map(repr, missing), parallel_map(_pretrain_one, missing, usable_cpus())))
+    for job in jobs:
+        store.move_to_end(repr(job))
+    pairs = [store[repr(job)] for job in jobs]
+    while len(store) > PRETRAIN_CACHE_CAP:
+        store.popitem(last=False)
+    if cache:
+        pairs = [(model.clone(), [dict(entry) for entry in log]) for model, log in pairs]
+    return [model for model, _ in pairs], [log for _, log in pairs]
 
 
-def prepare_models(config: RunConfig) -> list[ModelHandle]:
+def prepare_models(config: RunConfig, cache: bool = False) -> list[ModelHandle]:
     """The pretrained models of pretrain_models, without their logs."""
-    return pretrain_models(config)[0]
-
-
-# Pretrained models of recent runs, one per model entry, least recently used
-# first. The cap bounds a long-lived process; the reference anchor holds
-# about 0.3 MB of parameters.
-PRETRAIN_CACHE_CAP = 32
-_PRETRAIN_CACHE: OrderedDict[str, ModelHandle] = OrderedDict()
-
-
-def _pretrain_key(config: RunConfig, i: int) -> str:
-    """Everything pretraining model ``i`` reads; its adaptation lr is not."""
-    return json.dumps({
-        "spec": config.models[i].spec.to_dict(),
-        "index": i,
-        "task": config.task.to_dict(),
-        "n_per_class": config.n_per_class,
-        "epochs": config.epochs_of(i),
-        "lr": config.pretrain_lr,
-        "batch_size": config.pretrain_batch_size,
-        "seed": config.seed,
-    }, sort_keys=True)
-
-
-def prepare_models_cached(config: RunConfig) -> list[ModelHandle]:
-    """prepare_models through a per-model cache: only missing entries pretrain.
-
-    Returns clones, so callers may adapt them freely.
-    """
-    keys = [_pretrain_key(config, i) for i in range(len(config.models))]
-    missing = [i for i, key in enumerate(keys) if key not in _PRETRAIN_CACHE]
-    if missing:
-        for i, model in zip(missing, pretrain_models(config, missing)[0]):
-            _PRETRAIN_CACHE[keys[i]] = model
-    models = []
-    for key in keys:
-        _PRETRAIN_CACHE.move_to_end(key)
-        models.append(_PRETRAIN_CACHE[key].clone())
-    while len(_PRETRAIN_CACHE) > PRETRAIN_CACHE_CAP:
-        _PRETRAIN_CACHE.popitem(last=False)
-    return models
+    return pretrain_models(config, cache)[0]
 
 
 def build_test_set(config: RunConfig):
@@ -355,10 +349,7 @@ def build_test_stream(config: RunConfig):
 def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
         use_cache: bool = True) -> RunReport:
     """Execute one adaptation run and collect per-batch metrics."""
-    if models is None:
-        models = (prepare_models_cached(config) if use_cache
-                  else prepare_models(config))
-    models = list(models)
+    models = list(prepare_models(config, use_cache) if models is None else models)
     if len(models) != len(config.models):
         raise ValueError(f"got {len(models)} models for {len(config.models)} config entries")
     for i, (entry, model) in enumerate(zip(config.models, models)):
@@ -450,8 +441,7 @@ SWEEP_KEYS = ("severity", "stream_order", "loss_masks", "strategy", "lam_col", "
               "tau_step_size", "seed", "pretrain_epochs", "n_per_class")
 
 
-def point_config(base: RunConfig, point: dict, index: int,
-                 derive_seed: bool = True) -> RunConfig:
+def point_config(base: RunConfig, point: dict, index: int) -> RunConfig:
     """The config of sweep point `index`: base with the point's overrides.
 
     The point is read as base's document with the overrides put in, so each
@@ -478,7 +468,7 @@ def point_config(base: RunConfig, point: dict, index: int,
             doc["stream"]["order"] = value
         else:
             doc[key] = value
-    if derive_seed and "seed" not in point:
+    if "seed" not in point:
         doc["seed"] = mix64(base.seed, 1000 + index)
     return RunConfig._read(doc, path)
 
@@ -493,12 +483,11 @@ def sweep_points(grid: dict[str, list]) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
 
-def ablation_sweep(base: RunConfig, grid: dict[str, list],
-                   derive_seeds: bool = True) -> list[tuple[dict, RunReport]]:
-    """Cartesian-product sweep; each point gets a derived deterministic seed.
+def ablation_sweep(base: RunConfig, grid: dict[str, list]) -> list[tuple[dict, RunReport]]:
+    """Cartesian-product sweep; a point without a seed gets a derived one.
 
     Every point's config is validated before the first run starts.
     """
     points = sweep_points(grid)
-    configs = [point_config(base, p, i, derive_seeds) for i, p in enumerate(points)]
+    configs = [point_config(base, p, i) for i, p in enumerate(points)]
     return [(p, run(cfg)) for p, cfg in zip(points, configs)]

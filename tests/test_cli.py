@@ -13,7 +13,7 @@ import pytest
 
 from coca_tta import harness, models
 from coca_tta.cli import ConfigError, main, validate_config
-from coca_tta.shiftgen import StreamSpec, load_dataset
+from coca_tta.shiftgen import StreamSpec, load_dataset, save_dataset
 
 
 def blas_thread_getter():
@@ -100,8 +100,27 @@ class TestValidateConfig:
         {"tau_min": 10.0, "tau_max": 1.0},
         {"collapse_threshold": 1.5},
         {"filter_threshold_factor": -0.1},
-    ], ids=["lam_col", "zero_objective", "tau_min", "tau_order", "collapse", "filter"])
+        # these ran to the end with NaN norm parameters or models at chance,
+        # or failed only at the first batch, after pretraining
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"lr": -1.0},
+        {"pretrain_lr": float("nan")},
+        {"pretrain_lr": -0.05},
+        {"tau_steps": -1},
+        {"tau_clamp": 0.0},
+        {"tau_clamp": float("nan")},
+        {"tau_step_size": float("nan")},
+        {"tau_step_size": 0.0},
+    ], ids=["lam_col", "zero_objective", "tau_min", "tau_order", "collapse", "filter",
+            "lr_nan", "lr_inf", "lr_negative", "pretrain_lr_nan", "pretrain_lr_negative",
+            "tau_steps_negative", "tau_clamp_zero", "tau_clamp_nan", "tau_step_size_nan",
+            "tau_step_size_zero"])
     def test_rejects_out_of_range_values(self, tmp_path, capsys, overrides):
+        if "lr" in overrides:   # an entry's adaptation lr
+            doc = json.loads(write_config(tmp_path).read_text())
+            doc["models"][1]["lr"] = overrides["lr"]
+            overrides = {"models": doc["models"]}
         cfg = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError):
             validate_config(json.loads(cfg.read_text()))
@@ -317,7 +336,10 @@ class TestSweep:
     @pytest.mark.parametrize("grid,message", [
         ({"pretrain_epochs": [2, 0]}, "<point 1>: pretrain_epochs must be >= 1, got 0"),
         ({"n_per_class": [0]}, "<point 0>: n_per_class must be >= 1, got 0"),
-    ], ids=["pretrain_epochs", "n_per_class"])
+        ({"tau_steps": [5, -1]}, "<point 1>: tau_steps must be >= 0, got -1"),
+        ({"tau_step_size": [float("nan")]},
+         "<point 0>: tau_step_size must be finite and > 0, got nan"),
+    ], ids=["pretrain_epochs", "n_per_class", "tau_steps", "tau_step_size"])
     def test_empty_pretraining_fails_before_any_pool(self, tmp_path, capsys, monkeypatch,
                                                      grid, message):
         # such points used to fail inside the pretraining jobs, after the
@@ -404,9 +426,38 @@ class TestDatasetCommands:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_import_rejects_a_file_without_samples(self, tmp_path, capsys):
+        # its summary used to hold "feature_mean": NaN, which is no JSON
+        data = tmp_path / "empty.cocd"
+        save_dataset(str(data), np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
+        summary = tmp_path / "s.json"
+        assert main(["dataset-import", "--in", str(data), "--out", str(summary)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: dataset holds no samples\n"
+        assert not summary.exists()
+
 
 def test_report_with_no_metrics_fails(tmp_path, capsys):
     rc = main(["report", "--in", str(tmp_path), "--plot-data",
                str(tmp_path / "plot.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("batch,acc\n0,0.5\n", "header is not"),
+    ("", "header is not"),
+    (harness.CSV_HEADER + "\n0,0.5,0.5,0.5,1,0,0,0,0,1\n1,0.5\n",
+     "line 3 does not have the header's 10 fields"),
+    (harness.CSV_HEADER + "\n0,0.5,0.5,0.5,1,0,0,0,0,1,7\n",
+     "line 2 does not have the header's 10 fields"),
+], ids=["other_header", "empty", "short_row", "long_row"])
+def test_report_rejects_a_malformed_metrics_file(tmp_path, capsys, text, message):
+    # a file without the pinned columns ended in a KeyError traceback, and a
+    # short row wrote None as plot values and exited 0
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "metrics.csv").write_text(text)
+    plot = tmp_path / "plot.csv"
+    assert main(["report", "--in", str(tmp_path), "--plot-data", str(plot)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run' / 'metrics.csv'}: {message}")
+    assert not plot.exists()

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import ctypes
+import inspect
 import json
 import multiprocessing
 import os
@@ -14,12 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coca_tta import harness
+from coca_tta import cli, harness
 from coca_tta.adaptation import LossMasks
 from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
                               RunConfig, evaluate_accuracy, mix64,
-                              point_config, prepare_models_cached, run, sweep_points)
-from coca_tta.models import ModelSpec, build_model
+                              point_config, prepare_models, run, sweep_points)
+from coca_tta.models import ModelSpec, build_model, pretrain
 from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
 
 
@@ -81,8 +82,7 @@ class TestRunConfig:
             small_config(loss_masks=LossMasks(sa=False, mar=False, ckd=False))
         with pytest.raises(ValueError, match="loss_masks"):
             point_config(small_config(),
-                         {"loss_masks": {"sa": False, "mar": False, "ckd": False}},
-                         0, derive_seed=False)
+                         {"loss_masks": {"sa": False, "mar": False, "ckd": False}}, 0)
 
     @pytest.mark.parametrize("lam_col", [-0.5, float("nan")])
     def test_rejects_negative_lam_col(self, lam_col):
@@ -189,16 +189,24 @@ class TestEvaluateAccuracy:
 class TestPretrainCache:
     def test_cached_models_are_isolated_clones(self):
         cfg = small_config()
-        a = prepare_models_cached(cfg)
-        b = prepare_models_cached(cfg)
+        a = prepare_models(cfg, cache=True)
+        b = prepare_models(cfg, cache=True)
         name = next(iter(a[0].params))
         a[0].params[name].data += 1.0
         assert not np.array_equal(a[0].params[name].data, b[0].params[name].data)
 
+    def test_cached_logs_match_a_fresh_pretraining(self, monkeypatch):
+        monkeypatch.setattr(harness, "_PRETRAIN_CACHE", type(harness._PRETRAIN_CACHE)())
+        cfg = small_config(pretrain_epochs=2)
+        fresh = harness.pretrain_models(cfg)[1]
+        first = harness.pretrain_models(cfg, cache=True)[1]
+        first[0][0]["loss"] = -1.0   # the cache hands out copies
+        assert harness.pretrain_models(cfg, cache=True)[1] == fresh
+
     def test_cache_hit_is_deterministic(self):
         cfg = small_config()
-        a = prepare_models_cached(cfg)
-        b = prepare_models_cached(cfg)
+        a = prepare_models(cfg, cache=True)
+        b = prepare_models(cfg, cache=True)
         for x, y in zip(a, b):
             for n in x.params:
                 assert np.array_equal(x.params[n].data, y.params[n].data)
@@ -226,18 +234,18 @@ class TestPretrainCache:
         third = ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(8,), hidden_sizes=[6],
                                           norm_kind="layernorm", num_classes=4), lr=5e-3)
         cfg3 = small_config(pretrain_epochs=2, models=cfg2.models + [third])
-        prepare_models_cached(cfg2)
+        prepare_models(cfg2, cache=True)
         assert len(calls) == 2
-        cached = prepare_models_cached(cfg3)
+        cached = prepare_models(cfg3, cache=True)
         assert len(calls) == 3
         assert self.param_bytes(cached) == self.param_bytes(harness.prepare_models(cfg3))
 
     def test_adaptation_lr_is_not_part_of_the_key(self, monkeypatch):
         calls = self.count_pretrains(monkeypatch)
         cfg = small_config(pretrain_epochs=2)
-        first = prepare_models_cached(cfg)
+        first = prepare_models(cfg, cache=True)
         relr = [replace(e, lr=e.lr * 3) for e in cfg.models]
-        again = prepare_models_cached(small_config(pretrain_epochs=2, models=relr))
+        again = prepare_models(small_config(pretrain_epochs=2, models=relr), cache=True)
         assert len(calls) == 2
         assert self.param_bytes(first) == self.param_bytes(again)
 
@@ -250,24 +258,25 @@ class TestPretrainCache:
     def test_pretraining_inputs_are_part_of_the_key(self, monkeypatch, override):
         calls = self.count_pretrains(monkeypatch)
         base = small_config(pretrain_epochs=2)
-        prepare_models_cached(base)
-        changed = prepare_models_cached(small_config(**{"pretrain_epochs": 2, **override}))
+        prepare_models(base, cache=True)
+        changed = prepare_models(small_config(**{"pretrain_epochs": 2, **override}),
+                                 cache=True)
         assert len(calls) == 4
         assert self.param_bytes(changed) != self.param_bytes(harness.prepare_models(base))
 
     def test_entry_spec_epochs_and_index_are_part_of_the_key(self, monkeypatch):
         calls = self.count_pretrains(monkeypatch)
         cfg = small_config(pretrain_epochs=2)
-        prepare_models_cached(cfg)
+        prepare_models(cfg, cache=True)
         longer = [replace(cfg.models[0], pretrain_epochs=3), cfg.models[1]]
-        prepare_models_cached(small_config(pretrain_epochs=2, models=longer))
+        prepare_models(small_config(pretrain_epochs=2, models=longer), cache=True)
         assert len(calls) == 3
         narrower = [cfg.models[0], replace(cfg.models[1], spec=replace(
             cfg.models[1].spec, hidden_sizes=[10]))]
-        prepare_models_cached(small_config(pretrain_epochs=2, models=narrower))
+        prepare_models(small_config(pretrain_epochs=2, models=narrower), cache=True)
         assert len(calls) == 4
-        swapped = prepare_models_cached(small_config(pretrain_epochs=2,
-                                                     models=cfg.models[::-1]))
+        swapped = prepare_models(small_config(pretrain_epochs=2, models=cfg.models[::-1]),
+                                 cache=True)
         assert len(calls) == 6
         assert self.param_bytes(swapped) == self.param_bytes(
             harness.prepare_models(small_config(pretrain_epochs=2, models=cfg.models[::-1])))
@@ -277,11 +286,65 @@ class TestPretrainCache:
         cap = harness.PRETRAIN_CACHE_CAP
         keep = small_config(pretrain_epochs=1, n_per_class=4)
         for seed in range(cap // 2 + 2):
-            prepare_models_cached(small_config(pretrain_epochs=1, n_per_class=4, seed=seed))
+            prepare_models(small_config(pretrain_epochs=1, n_per_class=4, seed=seed),
+                           cache=True)
             assert len(harness._PRETRAIN_CACHE) <= cap
-            prepare_models_cached(keep)   # kept recent, so never evicted
+            prepare_models(keep, cache=True)   # kept recent, so never evicted
         assert len(harness._PRETRAIN_CACHE) == cap
         assert len(calls) == 2 * (cap // 2 + 2)
+
+
+class TestBenchmarkContract:
+    """What perfbench/ relies on: it times harness.prepare_models by name."""
+
+    @staticmethod
+    def count_prepares(monkeypatch, pretrains: list) -> list:
+        """Wrap harness.prepare_models; the list gets each call's pretrain count."""
+        spans, prepare = [], harness.prepare_models
+
+        def counted(*args, **kwargs):
+            before = len(pretrains)
+            models = prepare(*args, **kwargs)
+            spans.append(len(pretrains) - before)
+            return models
+
+        monkeypatch.setattr(harness, "prepare_models", counted)
+        return spans
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_run_pretrains_inside_one_prepare_models_call(self, monkeypatch, use_cache):
+        # the sweep's adaptation time is harness.run minus this one span
+        pretrains = TestPretrainCache.count_pretrains(monkeypatch)
+        spans = self.count_prepares(monkeypatch, pretrains)
+        cfg = small_config(pretrain_epochs=2)
+        kwargs = {} if use_cache else {"use_cache": False}
+        run(cfg, **kwargs)
+        assert spans == [2]
+        assert len(pretrains) == 2
+        run(cfg, **kwargs)
+        assert spans == [2, 0 if use_cache else 2]
+
+    def test_prepare_models_pretrains_on_every_call(self, monkeypatch):
+        # the adapt set-up times it, so it must never be a cache hit
+        pretrains = TestPretrainCache.count_pretrains(monkeypatch)
+        cfg = small_config(pretrain_epochs=2)
+        first = harness.prepare_models(cfg)
+        again = harness.prepare_models(cfg)
+        assert len(pretrains) == 4
+        assert TestPretrainCache.param_bytes(first) == TestPretrainCache.param_bytes(again)
+        assert not harness._PRETRAIN_CACHE
+
+    def test_sweep_point_pretrains_inside_one_uncached_call(self, monkeypatch, tmp_path):
+        # the tracer wraps cli._sweep_one, and models.pretrain wherever it is held
+        assert list(inspect.signature(cli._sweep_one).parameters) == [
+            "cfg_dict", "point", "index", "out_dir"]
+        assert harness.pretrain is pretrain
+        pretrains = TestPretrainCache.count_pretrains(monkeypatch)
+        spans = self.count_prepares(monkeypatch, pretrains)
+        cli._sweep_one(small_config(pretrain_epochs=2).to_dict(), {"tau_steps": 1}, 0,
+                       str(tmp_path))
+        assert spans == [2]
+        assert not harness._PRETRAIN_CACHE
 
 
 def conv_config(**overrides):
@@ -318,9 +381,10 @@ def second_pretrain_faults() -> int:
                                       num_classes=10), lr=0.05)
     cfg = RunConfig(models=[entry], task=task, strategy="tent", n_per_class=13,
                     pretrain_epochs=3)
-    harness._pretrain_one(cfg, 0)
+    job = harness._pretrain_job(cfg, 0)
+    harness._pretrain_one(*job)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    harness._pretrain_one(cfg, 0)
+    harness._pretrain_one(*job)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
@@ -337,7 +401,7 @@ for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscip
     if get is not None:
         get.argtypes, get.restype = [], ctypes.c_int
         threads = get()
-models, _ = harness.pretrain_models(harness.RunConfig.from_dict(json.loads(sys.argv[1])), [0])
+models, _ = harness.pretrain_models(harness.RunConfig.from_dict(json.loads(sys.argv[1])))
 digest = hashlib.sha256(b"".join(p.data.tobytes() for p in models[0].all_params()))
 print(json.dumps({"threads": threads, "digest": digest.hexdigest()}))
 """
@@ -377,8 +441,10 @@ class TestProcessPool:
                                                    expected):
         requested = self.record_pools(monkeypatch, processes=False)
         monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
-        models, logs = harness.pretrain_models(conv_config(pretrain_epochs=1),
-                                               range(n_models))
+        cfg = conv_config(pretrain_epochs=1)
+        cfg = replace(cfg, models=cfg.models[:n_models],
+                      strategy="coca" if n_models > 1 else "tent")
+        models, logs = harness.pretrain_models(cfg)
         assert requested == expected
         assert len(models) == len(logs) == n_models
 
@@ -456,8 +522,8 @@ class TestProcessPool:
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
         requested = self.record_pools(monkeypatch, processes=True)
         cfg = conv_config()
-        first = prepare_models_cached(cfg)
-        again = prepare_models_cached(cfg)
+        first = prepare_models(cfg, cache=True)
+        again = prepare_models(cfg, cache=True)
         assert requested == [2]
         assert len(harness._PRETRAIN_CACHE) == 3
         assert ([[p.data.tobytes() for p in m.all_params()] for m in first]
@@ -505,7 +571,7 @@ class TestRun:
 
     def test_source_only_never_updates(self):
         cfg = small_config(strategy="source_only", seed=6)
-        models = prepare_models_cached(cfg)
+        models = prepare_models(cfg, cache=True)
         before = {n: p.data.copy() for n, p in models[0].params.items()}
         run(cfg, models=models, use_cache=False)
         for n, arr in before.items():
@@ -534,16 +600,16 @@ class TestSweeps:
             sweep_points({})
 
     def test_apply_override_masks_by_name(self):
-        cfg = point_config(small_config(), {"loss_masks": "sa+mar"}, 0, derive_seed=False)
+        cfg = point_config(small_config(), {"loss_masks": "sa+mar"}, 0)
         assert cfg.loss_masks.sa and cfg.loss_masks.mar and not cfg.loss_masks.ckd
 
     def test_apply_override_severity(self):
-        cfg = point_config(small_config(), {"severity": 5}, 0, derive_seed=False)
+        cfg = point_config(small_config(), {"severity": 5}, 0)
         assert cfg.corruption.severity == 5
 
     def test_apply_override_unknown_key(self):
         with pytest.raises(ValueError):
-            point_config(small_config(), {"nonsense": 1}, 0, derive_seed=False)
+            point_config(small_config(), {"nonsense": 1}, 0)
 
     def test_point_config_derives_seed_and_validates_whole_point(self):
         base = small_config(seed=5, lam_col=0.0)
@@ -551,7 +617,6 @@ class TestSweeps:
         assert cfg.seed == mix64(5, 1003)
         assert (cfg.lam_col, cfg.loss_masks) == (1.0, MASK_NAMES["mar"])
         assert harness.point_config(base, {"seed": 9}, 3).seed == 9
-        assert harness.point_config(base, {"tau_steps": 1}, 3, derive_seed=False).seed == 5
         with pytest.raises(ValueError, match="identically 0"):
             harness.point_config(base, {"loss_masks": "mar"}, 0)
 
