@@ -1,9 +1,9 @@
 """Cross-model co-learning for test-time adaptation, with a desk-scale benchmark harness."""
 
-from .adaptation import (CascadeOutput, EnsembleOutput, FilterConfig,
-                         LossBreakdown, LossMasks, TauState, ckd_loss,
-                         coca_step, ensemble, learn_tau, marginal_entropy,
-                         multi_model_step, self_adapt_loss, tent_step)
+from .adaptation import (CascadeOutput, EnsembleOutput, LossBreakdown, LossMasks,
+                         TauState, ckd_loss, coca_step, ensemble, learn_tau,
+                         marginal_entropy, multi_model_step, self_adapt_loss,
+                         tent_step)
 from .autodiff import SGD, Tape, Tensor, backward
 from .harness import (ModelEntry, MetricsRecord, RunConfig, RunReport,
                       ablation_sweep, evaluate_accuracy, mix64, run)

@@ -42,16 +42,6 @@ class TauState:
 
 
 @dataclass
-class FilterConfig:
-    """EATA-style entropy filter: keep samples below threshold_factor * ln C."""
-    enabled: bool = False
-    threshold_factor: float = 0.4
-
-    def threshold(self, num_classes: int) -> float:
-        return self.threshold_factor * np.log(num_classes)
-
-
-@dataclass
 class LossMasks(Record):
     sa: bool = True
     mar: bool = True
@@ -63,9 +53,8 @@ class EnsembleOutput:
     p_a: np.ndarray        # anchor logits (B, C)
     p_s: np.ndarray        # auxiliary logits (B, C)
     tau: float
-    p_e_prime: np.ndarray  # p_a + p_s / tau
     T: np.ndarray          # per-sample balance factor (B,)
-    p_e: np.ndarray        # p_e_prime * (1 / T)
+    p_e: np.ndarray        # (p_a + p_s / tau) * (1 / T)
     y_hat: np.ndarray      # per-sample argmax of p_e
     aux_dropped: bool = False  # collapse guard fired; p_e falls back to p_a
 
@@ -76,7 +65,6 @@ class LossBreakdown:
     l_ckd: float
     l_sa: float
     l_total: float
-    lam_col: float
     kept_frac: float = 1.0
 
 
@@ -160,8 +148,7 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
     T = np.where((max_a > 0) & (max_e > 0), max_e / np.where(max_a > 0, max_a, 1.0), 1.0)
     p_e = pe_prime * (1.0 / T[:, None])
     y_hat = p_e.argmax(axis=1)
-    return EnsembleOutput(p_a=p_a, p_s=p_s, tau=float(tau), p_e_prime=pe_prime,
-                          T=T, p_e=p_e, y_hat=y_hat)
+    return EnsembleOutput(p_a=p_a, p_s=p_s, tau=float(tau), T=T, p_e=p_e, y_hat=y_hat)
 
 
 def agreement_rate(p_a: np.ndarray, p_s: np.ndarray) -> float:
@@ -179,8 +166,7 @@ def drop_auxiliary(ens: EnsembleOutput) -> EnsembleOutput:
     keep pulling the auxiliary back toward agreement.
     """
     ones = np.ones(ens.p_a.shape[0])
-    return EnsembleOutput(p_a=ens.p_a, p_s=ens.p_s, tau=ens.tau,
-                          p_e_prime=ens.p_a, T=ones, p_e=ens.p_a,
+    return EnsembleOutput(p_a=ens.p_a, p_s=ens.p_s, tau=ens.tau, T=ones, p_e=ens.p_a,
                           y_hat=ens.p_a.argmax(axis=1), aux_dropped=True)
 
 
@@ -219,11 +205,6 @@ def _softmax_stats(z: np.ndarray):
     """
     q, lse = ad._softmax_lse(z)
     return q, lse, (q * z).sum(axis=-1)
-
-
-def _row_entropy(z: np.ndarray) -> np.ndarray:
-    _, lse, qz = _softmax_stats(z)
-    return lse - qz
 
 
 def _ensemble_logits(z_a: np.ndarray, z_s: np.ndarray, ens: EnsembleOutput):
@@ -310,20 +291,19 @@ def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, ens: EnsembleOutput,
 
     total = ad._record("coca_objective", (p_a_t, p_s_t), np.asarray(l_total), bwd)
     breakdown = LossBreakdown(
-        l_mar=l_mar, l_ckd=l_ckd, l_sa=l_sa, l_total=l_total, lam_col=lam_col,
-        kept_frac=float(keep.mean()))
+        l_mar=l_mar, l_ckd=l_ckd, l_sa=l_sa, l_total=l_total, kept_frac=float(keep.mean()))
     return total, breakdown
 
 
 def coca_step(anchor: ModelHandle, auxiliary: ModelHandle, tau_state: TauState,
               batch: np.ndarray, optimizers: Sequence[SGD],
-              filter_cfg: Optional[FilterConfig] = None, lam_col: float = 1.0,
+              filter_factor: Optional[float] = None, lam_col: float = 1.0,
               masks: Optional[LossMasks] = None,
               collapse_threshold: float = 0.0
               ) -> tuple[EnsembleOutput, LossBreakdown]:
     """Two-model co-adaptation: multi_model_step with a single pairing."""
     out = multi_model_step([anchor, auxiliary], [tau_state], batch, optimizers,
-                           filter_cfg=filter_cfg, lam_col=lam_col, masks=masks,
+                           filter_factor=filter_factor, lam_col=lam_col, masks=masks,
                            collapse_threshold=collapse_threshold)
     return out.ensemble, out.breakdown
 
@@ -344,6 +324,7 @@ class CascadeOutput:
     ensemble: EnsembleOutput           # topmost pairing
     taus: list[float]                  # per-pairing tau, innermost first
     breakdown: LossBreakdown           # summed over pairing levels
+    skipped: bool = False              # non-finite batch, loss or gradient: no update
 
     @property
     def y_hat(self) -> np.ndarray:
@@ -354,7 +335,7 @@ class CascadeOutput:
 def multi_model_step(models_desc: Sequence[ModelHandle],
                      tau_states: Sequence[TauState], batch: np.ndarray,
                      optimizers: Sequence[SGD],
-                     filter_cfg: Optional[FilterConfig] = None,
+                     filter_factor: Optional[float] = None,
                      lam_col: float = 1.0,
                      masks: Optional[LossMasks] = None,
                      collapse_threshold: float = 0.0) -> CascadeOutput:
@@ -369,14 +350,19 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
     anchor and auxiliary agree on fewer than that fraction of the batch,
     the auxiliary is treated as collapsed and that pairing's ensemble
     falls back to its anchor for the batch.
+
+    If the batch, the loss or a gradient of an optimized parameter is
+    non-finite, the step is skipped: no optimizer steps, every gradient is
+    cleared, each tau is put back to its value before the step, and the
+    output has skipped set. Its predictions and losses are still reported.
     """
     k = len(models_desc)
     if k < 2:
         raise ValueError(f"multi_model_step requires >= 2 models, got {k}")
     if len(tau_states) != k - 1:
         raise ValueError(f"expected {k - 1} tau states, got {len(tau_states)}")
-    filter_cfg = filter_cfg or FilterConfig(enabled=False)
     masks = masks or LossMasks()
+    taus_before = [s.tau for s in tau_states]
 
     with Tape():
         logits = [forward_logits(m, Tensor(batch)) for m in models_desc]
@@ -397,8 +383,9 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
                 aux_t = anchor_t if ens.aux_dropped else _ensemble_tensor(anchor_t, aux_t, ens)
 
         top = levels[-1][2]
-        if filter_cfg.enabled:
-            keep = _row_entropy(top.p_e) < filter_cfg.threshold(top.p_e.shape[1])
+        if filter_factor is not None:  # EATA-style: keep rows below factor * ln C
+            _, lse, qz = _softmax_stats(top.p_e)
+            keep = lse - qz < filter_factor * np.log(top.p_e.shape[1])
         else:
             keep = np.ones(len(batch), dtype=bool)
 
@@ -406,10 +393,10 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
         taus = [s.tau for s in tau_states]
         if not keep.any():
             return CascadeOutput(preds, top, taus,
-                                 LossBreakdown(0.0, 0.0, 0.0, 0.0, lam_col, kept_frac=0.0))
+                                 LossBreakdown(0.0, 0.0, 0.0, 0.0, kept_frac=0.0))
 
         total = None
-        agg = LossBreakdown(0.0, 0.0, 0.0, 0.0, lam_col, kept_frac=float(keep.mean()))
+        agg = LossBreakdown(0.0, 0.0, 0.0, 0.0, kept_frac=float(keep.mean()))
         for anchor_t, pair_aux_t, ens in levels:
             lvl_total, lvl = _combined_loss(anchor_t, pair_aux_t, ens, keep, lam_col, masks)
             total = lvl_total if total is None else ad.add(total, lvl_total)
@@ -418,6 +405,15 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
             agg.l_sa += lvl.l_sa
             agg.l_total += lvl.l_total
         ad.backward(total)
+    # the loss plus one sum over the batch and every gradient is non-finite if
+    # any element is (or if the sum overflows); an update with a NaN would stay
+    # in the norm parameters and the SGD velocities for every later batch
+    grads = [p.grad for opt in optimizers for p in opt.params if p.grad is not None]
+    if not math.isfinite(agg.l_total + np.concatenate([batch, *grads], axis=None).sum()):
+        ad.zero_grads([p for m in models_desc for p in m.all_params()])
+        for state, tau in zip(tau_states, taus_before):
+            state.tau = tau
+        return CascadeOutput(preds, top, taus_before, agg, skipped=True)
     for opt in optimizers:
         opt.step()
     return CascadeOutput(preds, top, taus, agg)

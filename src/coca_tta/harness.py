@@ -14,13 +14,13 @@ import math
 import os
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .adaptation import FilterConfig, LossMasks, TauState, multi_model_step, tent_step
+from .adaptation import LossMasks, TauState, multi_model_step, tent_step
 from .autodiff import SGD, Tensor
 from .models import (ModelHandle, ModelSpec, anchor_select, build_model,
                      forward_logits, pretrain)
@@ -151,7 +151,6 @@ class MetricsRecord:
 @dataclass
 class RunReport:
     config: RunConfig
-    seed: int
     records: list[MetricsRecord]
     acc_per_model: list[float]   # anchor-first ordering
     acc_combined: Optional[float]
@@ -172,7 +171,7 @@ class RunReport:
         return {
             "schema": 1,
             "config": self.config.to_dict(),
-            "seed": self.seed,
+            "seed": self.config.seed,
             "n_samples": self.n_samples,
             "n_batches": len(self.records),
             "acc_per_model": self.acc_per_model,
@@ -342,8 +341,7 @@ def build_test_set(config: RunConfig):
 def build_test_stream(config: RunConfig):
     """Corrupted test set plus its stream iterator."""
     feats, labels = build_test_set(config)
-    spec = replace(config.stream, seed=mix64(config.seed, 5))
-    return make_stream(feats, labels, spec)
+    return make_stream(feats, labels, config.stream, mix64(config.seed, 5))
 
 
 def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
@@ -364,8 +362,8 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
         m.set_trainable(norm_only=True)
     optimizers = [SGD(m.norm_params(), lr=lrs[id(m)], momentum=0.9) for m in ordered]
 
-    filter_cfg = FilterConfig(enabled=config.strategy == "coca_filtered",
-                              threshold_factor=config.filter_threshold_factor)
+    filter_factor = (config.filter_threshold_factor
+                     if config.strategy == "coca_filtered" else None)
     tau_kwargs = dict(step_size=config.tau_step_size, steps=config.tau_steps,
                       tau_min=config.tau_min, tau_max=config.tau_max,
                       logit_clamp=config.tau_clamp)
@@ -388,7 +386,7 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
             comb = None
         else:
             out = multi_model_step(ordered, tau_states, xb, optimizers,
-                                   filter_cfg=filter_cfg, lam_col=config.lam_col,
+                                   filter_factor=filter_factor, lam_col=config.lam_col,
                                    masks=config.loss_masks,
                                    collapse_threshold=config.collapse_threshold)
             preds = out.per_model_preds
@@ -415,7 +413,7 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
 
     taus = [r.tau for r in records if r.tau is not None]
     return RunReport(
-        config=config, seed=config.seed, records=records,
+        config=config, records=records,
         acc_per_model=[float(c / total_seen) for c in correct],
         acc_combined=(correct_combined / total_seen) if has_combined else None,
         tau_final=taus[-1] if taus else None,

@@ -46,6 +46,9 @@ class SourceTask(Record):
             raise ValueError(f"unsupported task kind: {self.kind!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
+        for name in ("center_separation", "noise_std"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.kind == "gaussian_mixture" and self.num_classes > self.dims:
             raise ValueError("gaussian_mixture requires num_classes <= dims")
         self.image_shape = tuple(int(d) for d in self.image_shape)
@@ -72,7 +75,6 @@ class StreamSpec(Record):
     order: str = "iid_shuffled"   # iid_shuffled | label_sorted | mixed_blocks
     batch_size: int = 64
     total_samples: int = 0        # 0 = use the whole dataset
-    seed: int = 0
 
     def __post_init__(self):
         if self.order not in ("iid_shuffled", "label_sorted", "mixed_blocks"):
@@ -160,17 +162,18 @@ def _box_blur(x: np.ndarray) -> np.ndarray:
     return out / 9.0
 
 
-def make_stream(features: np.ndarray, labels: np.ndarray,
-                spec: StreamSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def make_stream(features: np.ndarray, labels: np.ndarray, spec: StreamSpec,
+                seed: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (features, hidden-true-labels) batches in the configured order.
 
+    The seed draws the shuffled orders; a run derives it from its own seed.
     Labels are carried only for post-hoc accuracy; a final batch smaller
     than 2 is dropped (batch statistics would be undefined).
     """
     n = len(labels)
     if n == 0:
         raise ValueError("dataset is empty")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     if spec.order == "iid_shuffled":
         order = rng.permutation(n)
     elif spec.order == "label_sorted":

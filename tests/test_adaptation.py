@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from coca_tta import adaptation as co
 from coca_tta import autodiff as ad
-from coca_tta.adaptation import (FilterConfig, LossMasks, TauState,
-                                 agreement_rate, ckd_loss, coca_step,
-                                 drop_auxiliary, ensemble, entropy_rows,
-                                 learn_tau, marginal_entropy,
-                                 multi_model_step, self_adapt_loss,
-                                 tent_step)
+from coca_tta.adaptation import (LossMasks, TauState, agreement_rate,
+                                 ckd_loss, coca_step, drop_auxiliary,
+                                 ensemble, entropy_rows, learn_tau,
+                                 marginal_entropy, multi_model_step,
+                                 self_adapt_loss, tent_step)
 from coca_tta.autodiff import SGD, Tape, Tensor
 from coca_tta.models import ModelSpec, build_model, forward_logits, pretrain
 from coca_tta.shiftgen import SourceTask, gen_source
@@ -165,7 +164,7 @@ class TestLearnTau:
 class TestEnsemble:
     def test_hand_example(self):
         out = ensemble(np.array([[3.0, 1.0]]), np.array([[2.0, 4.0]]), tau=2.0)
-        assert np.allclose(out.p_e_prime, [[4.0, 3.0]])
+        assert np.allclose(out.p_e * out.T[:, None], [[4.0, 3.0]])
         assert np.allclose(out.T, [4.0 / 3.0])
         assert np.allclose(out.p_e, [[3.0, 2.25]])
         assert out.y_hat[0] == 0
@@ -205,8 +204,9 @@ class TestEnsemble:
         rng = np.random.default_rng(seed)
         p_a = rng.uniform(0.1, 10, size=(16, 8))
         p_s = rng.uniform(0.1, 10, size=(16, 8))
-        out = ensemble(p_a, p_s, rng.uniform(0.2, 5.0))
-        assert np.array_equal(out.y_hat, out.p_e_prime.argmax(axis=1))
+        tau = rng.uniform(0.2, 5.0)
+        out = ensemble(p_a, p_s, tau)
+        assert np.array_equal(out.y_hat, (p_a + p_s / tau).argmax(axis=1))
 
 
 class TestCollapseGuard:
@@ -261,12 +261,13 @@ class TestLossTerms:
         assert abs(v.item() - expect) < 1e-12
 
     def test_filter_threshold_oracle(self):
-        cfg = FilterConfig(enabled=True, threshold_factor=0.4)
-        z = np.random.default_rng(6).standard_normal((64, 8)) * 2
-        with Tape():
-            h = entropy_rows(Tensor(z)).data
-        keep = h < cfg.threshold(8)
-        assert np.array_equal(keep, entropy_np(z) < 0.4 * np.log(8))
+        # the step keeps the rows whose ensemble entropy is below factor * ln C
+        anchor, aux = tiny_pair(seed=6)
+        opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
+        batch = np.random.default_rng(6).standard_normal((64, 6)) * 2
+        ens, bd = coca_step(anchor, aux, TauState(), batch, opts, filter_factor=0.8)
+        keep = entropy_np(ens.p_e) < 0.8 * np.log(4)
+        assert bd.kept_frac == keep.mean()
         assert 0 < keep.sum() < 64
 
 
@@ -457,18 +458,16 @@ class TestCocaStep:
     def test_filter_reports_kept_fraction(self):
         anchor, aux = tiny_pair(seed=6)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
-        cfg = FilterConfig(enabled=True, threshold_factor=0.4)
         _, bd = coca_step(anchor, aux, TauState(), self.batch(7, n=32), opts,
-                          filter_cfg=cfg)
+                          filter_factor=0.4)
         assert 0.0 <= bd.kept_frac <= 1.0
 
     def test_all_filtered_skips_update(self):
         anchor, aux = tiny_pair(seed=8)
         before = {n: p.data.copy() for n, p in anchor.params.items()}
         opts = [SGD(m.norm_params(), lr=0.5) for m in (anchor, aux)]
-        cfg = FilterConfig(enabled=True, threshold_factor=1e-9)
         _, bd = coca_step(anchor, aux, TauState(), self.batch(9), opts,
-                          filter_cfg=cfg)
+                          filter_factor=1e-9)
         assert bd.kept_frac == 0.0
         for name, arr in before.items():
             assert np.array_equal(anchor.params[name].data, arr)
@@ -487,6 +486,71 @@ class TestCocaStep:
         ens, _ = coca_step(anchor, aux, TauState(), self.batch(13), opts,
                            collapse_threshold=0.0)
         assert not ens.aux_dropped
+
+
+def a9_pair():
+    """The layernorm/batchnorm pair of acceptance check A9, norm-only."""
+    pair = []
+    for i, (hidden, norm) in enumerate([([24, 24], "layernorm"), ([10], "batchnorm")]):
+        m = build_model(ModelSpec(kind="mlp", input_shape=(12,), hidden_sizes=hidden,
+                                  norm_kind=norm, num_classes=6), seed=i)
+        m.set_trainable(norm_only=True)
+        pair.append(m)
+    return pair
+
+
+class TestNonFiniteGuard:
+    """A batch with a NaN feature is skipped instead of poisoning the models."""
+
+    def nan_stream(self):
+        batches = np.random.default_rng(0).standard_normal((6, 32, 12))
+        batches[2, 5, 3] = np.nan
+        return batches
+
+    def test_nan_feature_skips_only_its_batch(self):
+        # before the guard, relu mapped the NaN rows to 0 so every loss stayed
+        # finite, but a layernorm scale gradient was NaN: from batch 2 a norm
+        # parameter of each model was NaN and from batch 3 the pair predicted
+        # one class
+        pair = a9_pair()
+        opts = [SGD(m.norm_params(), lr=0.01, momentum=0.9) for m in pair]
+        state = TauState()
+        for b, batch in enumerate(self.nan_stream()):
+            before = [p.data.copy() for m in pair for p in m.all_params()]
+            velocity = [v.copy() for o in opts for v in o.velocity]
+            tau = state.tau
+            out = multi_model_step(pair, [state], batch, opts)
+            assert out.skipped == (b == 2)
+            assert np.isfinite(out.breakdown.l_total)
+            params = [p for m in pair for p in m.all_params()]
+            assert all(np.isfinite(p.data).all() and p.grad is None for p in params)
+            if out.skipped:
+                assert [p.data.tobytes() for p in params] == [a.tobytes() for a in before]
+                assert [v.tobytes() for o in opts for v in o.velocity] == [
+                    v.tobytes() for v in velocity]
+                assert state.tau == tau and out.taus == [tau]
+            else:
+                assert any(not np.array_equal(p.data, a) for p, a in zip(params, before))
+            assert len(np.unique(out.y_hat)) > 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_skipped_step_puts_every_tau_back(self, k, monkeypatch):
+        # learn_tau runs before the loss; a skipped step must undo its moves
+        def moving_learn_tau(state, p_a, p_s):
+            state.tau = state.clamped(state.tau * 3.0)
+            return state
+
+        monkeypatch.setattr(co, "learn_tau", moving_learn_tau)
+        ms = [m.clone() for m in pretrained_cascade()[:k]]
+        states = [TauState(tau=1.5 + i) for i in range(k - 1)]
+        opts = [SGD(m.norm_params(), lr=0.05, momentum=0.9) for m in ms]
+        batches = step_batches(0, n=2)
+        out = multi_model_step(ms, states, batches[0], opts)
+        assert not out.skipped and [s.tau for s in states] == [4.5, 7.5][:k - 1]
+        batches[1][3, 0] = np.inf
+        out = multi_model_step(ms, states, batches[1], opts)
+        assert out.skipped
+        assert [s.tau for s in states] == out.taus == [4.5, 7.5][:k - 1]
 
 
 class TestTentStep:
@@ -613,18 +677,23 @@ def step_batches(seed, n=3):
     return noisy.reshape(4, n, 4, 6).transpose(1, 0, 2, 3).reshape(n, 16, 6)
 
 
-def adapt_cascade(k, batches, filter_cfg=None, collapse_threshold=0.0):
+def adapt_cascade(k, batches, filter_factor=None, collapse_threshold=0.0, classes=None):
     """Adapt clones of the first k pretrained cascade models over batches.
 
-    Returns, per step, the step's output and the norm parameters and SGD
-    velocities after it.
+    With a permutation ``classes``, every model's head columns are permuted
+    by it first, so class j of the clones is class classes[j] of the
+    originals. Returns, per step, the step's output and the norm parameters
+    and SGD velocities after it.
     """
     ms = [m.clone() for m in pretrained_cascade()[:k]]
+    for m in ms if classes is not None else ():
+        for name in ("head.weight", "head.bias"):
+            m.params[name].data = m.params[name].data[..., classes].copy()
     states = [TauState() for _ in range(k - 1)]
     opts = [SGD(m.norm_params(), lr=0.05, momentum=0.9) for m in ms]
     steps = []
     for batch in batches:
-        out = multi_model_step(ms, states, batch, opts, filter_cfg=filter_cfg,
+        out = multi_model_step(ms, states, batch, opts, filter_factor=filter_factor,
                                collapse_threshold=collapse_threshold)
         state = [p.data.copy() for m in ms for p in m.norm_params()]
         steps.append((out, state + [v.copy() for o in opts for v in o.velocity]))
@@ -634,9 +703,9 @@ def adapt_cascade(k, batches, filter_cfg=None, collapse_threshold=0.0):
 def step_arrays(out):
     """Every array and number a cascade step reports, in a fixed order."""
     ens, bd = out.ensemble, out.breakdown
-    return [*out.per_model_preds, ens.p_a, ens.p_s, ens.p_e_prime, ens.T, ens.p_e,
+    return [*out.per_model_preds, ens.p_a, ens.p_s, ens.T, ens.p_e,
             ens.y_hat, np.array(out.taus + [ens.tau, float(ens.aux_dropped)]),
-            np.array([bd.l_mar, bd.l_ckd, bd.l_sa, bd.l_total, bd.lam_col, bd.kept_frac])]
+            np.array([bd.l_mar, bd.l_ckd, bd.l_sa, bd.l_total, bd.kept_frac])]
 
 
 class TestStepMetamorphic:
@@ -651,10 +720,10 @@ class TestStepMetamorphic:
         batches = step_batches(seed)
         rng = np.random.default_rng(seed)
         perms = [rng.permutation(16) for _ in batches]
-        filter_cfg = FilterConfig(enabled=filtered, threshold_factor=0.3)
-        plain = adapt_cascade(k, batches, filter_cfg, collapse_threshold)
+        filter_factor = 0.3 if filtered else None
+        plain = adapt_cascade(k, batches, filter_factor, collapse_threshold)
         permuted = adapt_cascade(k, [b[p] for b, p in zip(batches, perms)],
-                                 filter_cfg, collapse_threshold)
+                                 filter_factor, collapse_threshold)
         for (out, state), (p_out, p_state), perm in zip(plain, permuted, perms):
             for pred, p_pred in zip(out.per_model_preds + [out.y_hat],
                                     p_out.per_model_preds + [p_out.y_hat]):
@@ -675,13 +744,42 @@ class TestStepMetamorphic:
         # an entropy never exceeds ln C, so a factor of 2 keeps every row
         batches = step_batches(seed)
         plain = adapt_cascade(k, batches, None, collapse_threshold)
-        kept = adapt_cascade(k, batches, FilterConfig(enabled=True, threshold_factor=2.0),
-                             collapse_threshold)
+        kept = adapt_cascade(k, batches, 2.0, collapse_threshold)
         for (out, state), (k_out, k_state) in zip(plain, kept):
             assert k_out.ensemble.aux_dropped == out.ensemble.aux_dropped
             for a, b in zip(step_arrays(k_out) + k_state, step_arrays(out) + state):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @given(seed=st.integers(0, 2**32 - 1), filtered=st.booleans(),
+           collapse_threshold=st.sampled_from([0.0, 0.9]))
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    def test_class_relabelling_relabels_predictions(self, k, seed, filtered,
+                                                    collapse_threshold):
+        # permuting every head's columns renames the classes: predictions map
+        # through the permutation, and losses, taus and the adapted norm
+        # parameters differ only by the order of the sums over classes
+        batches = step_batches(seed)
+        classes = np.random.default_rng(seed).permutation(STEP_TASK.num_classes)
+        filter_factor = 0.3 if filtered else None
+        plain = adapt_cascade(k, batches, filter_factor, collapse_threshold)
+        relabelled = adapt_cascade(k, batches, filter_factor, collapse_threshold, classes)
+        for (out, state), (r_out, r_state) in zip(plain, relabelled):
+            for pred, r_pred in zip(out.per_model_preds + [out.y_hat],
+                                    r_out.per_model_preds + [r_out.y_hat]):
+                assert np.array_equal(classes[r_pred], pred)
+            assert r_out.ensemble.aux_dropped == out.ensemble.aux_dropped
+            ens, r_ens = out.ensemble, r_out.ensemble
+            for a, b in ((r_ens.p_a, ens.p_a), (r_ens.p_s, ens.p_s), (r_ens.p_e, ens.p_e)):
+                np.testing.assert_allclose(a, b[:, classes], rtol=1e-14, atol=1e-14)
+            # taus and losses
+            np.testing.assert_allclose(np.concatenate(step_arrays(r_out)[-2:]),
+                                       np.concatenate(step_arrays(out)[-2:]),
+                                       rtol=1e-15, atol=1e-15)
+            for a, b in zip(r_state, state):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
 
 class TestTauMetamorphic:

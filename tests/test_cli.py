@@ -112,15 +112,22 @@ class TestValidateConfig:
         {"tau_clamp": float("nan")},
         {"tau_step_size": float("nan")},
         {"tau_step_size": 0.0},
+        # these ended at chance accuracy with tau at tau_max
+        {"task": {"noise_std": float("nan")}},
+        {"task": {"noise_std": -1.0}},
+        {"task": {"center_separation": float("nan")}},
     ], ids=["lam_col", "zero_objective", "tau_min", "tau_order", "collapse", "filter",
             "lr_nan", "lr_inf", "lr_negative", "pretrain_lr_nan", "pretrain_lr_negative",
             "tau_steps_negative", "tau_clamp_zero", "tau_clamp_nan", "tau_step_size_nan",
-            "tau_step_size_zero"])
+            "tau_step_size_zero", "noise_std_nan", "noise_std_negative",
+            "center_separation_nan"])
     def test_rejects_out_of_range_values(self, tmp_path, capsys, overrides):
+        doc = json.loads(write_config(tmp_path).read_text())
         if "lr" in overrides:   # an entry's adaptation lr
-            doc = json.loads(write_config(tmp_path).read_text())
             doc["models"][1]["lr"] = overrides["lr"]
             overrides = {"models": doc["models"]}
+        if "task" in overrides:   # one field of the source task
+            overrides = {"task": {**doc["task"], **overrides["task"]}}
         cfg = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError):
             validate_config(json.loads(cfg.read_text()))
@@ -137,8 +144,12 @@ class TestValidateConfig:
         ({"models": 5}, "<root>.models"),
         ({"models": None}, "<root>.models"),
         ({"corruption": {}}, "<root>.corruption"),
+        # the stream's order is drawn from the run seed; a seed of its own
+        # used to be accepted and then ignored
+        ({"stream": {"order": "iid_shuffled", "batch_size": 32, "total_samples": 192,
+                     "seed": 3}}, "<root>.stream"),
     ], ids=["mask_str", "severity_float", "n_per_class_float", "seed_bool",
-            "models_int", "models_null", "corruption_empty"])
+            "models_int", "models_null", "corruption_empty", "stream_seed"])
     def test_rejects_malformed_value_naming_its_path(self, tmp_path, capsys, overrides, path):
         cfg = write_config(tmp_path, **overrides)
         assert main(["adapt", str(cfg), "--out", str(tmp_path / "out")]) == 1

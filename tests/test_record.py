@@ -27,7 +27,7 @@ RECORDS = {
     "ModelEntry": ModelEntry(spec=small_spec(hidden=(5, 3)), lr=0.02, pretrain_epochs=4),
     "ModelSpec": small_spec(hidden=(5, 3), norm="layernorm"),
     "SourceTask": mixture(C=5, dims=16, sep=3.5),
-    "StreamSpec": StreamSpec(order="mixed_blocks", batch_size=16, total_samples=96, seed=3),
+    "StreamSpec": StreamSpec(order="mixed_blocks", batch_size=16, total_samples=96),
     "CorruptionSpec": CorruptionSpec(kind="blur3x3", severity=2),
     "LossMasks": LossMasks(sa=False, mar=True, ckd=False),
 }

@@ -28,6 +28,16 @@ class TestSourceTask:
         with pytest.raises(ValueError):
             SourceTask(kind="gaussian_mixture", num_classes=33, dims=32)
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise_std", float("nan")), ("noise_std", -1.0), ("noise_std", 0.0),
+        ("noise_std", float("inf")), ("center_separation", float("nan")),
+        ("center_separation", 0.0), ("center_separation", -6.0)])
+    def test_rejects_degenerate_scales(self, field, value):
+        # a NaN or negative scale ran to chance accuracy without an error; at 0
+        # the class centers coincide, and an infinite one makes the features infinite
+        with pytest.raises(ValueError, match=field):
+            SourceTask(kind="gaussian_mixture", num_classes=4, dims=8, **{field: value})
+
     def test_centers_fixed_by_task_not_draw_seed(self):
         task = mixture()
         a, la = gen_source(task, n_per_class=200, seed=1)
@@ -161,19 +171,19 @@ class TestStreams:
         self.feats, self.labels = gen_source(mixture(C=4), n_per_class=50, seed=0)
 
     def test_iid_deterministic_in_seed(self):
-        spec = StreamSpec(order="iid_shuffled", batch_size=16, seed=5)
-        a = [y for _, y in make_stream(self.feats, self.labels, spec)]
-        b = [y for _, y in make_stream(self.feats, self.labels, spec)]
+        spec = StreamSpec(order="iid_shuffled", batch_size=16)
+        a = [y for _, y in make_stream(self.feats, self.labels, spec, 5)]
+        b = [y for _, y in make_stream(self.feats, self.labels, spec, 5)]
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_label_sorted_is_nondecreasing(self):
         spec = StreamSpec(order="label_sorted", batch_size=16)
-        seen = np.concatenate([y for _, y in make_stream(self.feats, self.labels, spec)])
+        seen = np.concatenate([y for _, y in make_stream(self.feats, self.labels, spec, 0)])
         assert np.all(np.diff(seen) >= 0)
 
     def test_mixed_blocks_are_pure_but_shuffled(self):
-        spec = StreamSpec(order="mixed_blocks", batch_size=25, seed=1)
-        batches = [y for _, y in make_stream(self.feats, self.labels, spec)]
+        spec = StreamSpec(order="mixed_blocks", batch_size=25)
+        batches = [y for _, y in make_stream(self.feats, self.labels, spec, 1)]
         purities = [len(np.unique(y)) for y in batches]
         assert max(purities) <= 2  # blocks follow class boundaries
         firsts = [int(y[0]) for y in batches]
@@ -181,24 +191,24 @@ class TestStreams:
 
     def test_total_samples_cap(self):
         spec = StreamSpec(order="iid_shuffled", batch_size=16, total_samples=40)
-        n = sum(len(y) for _, y in make_stream(self.feats, self.labels, spec))
+        n = sum(len(y) for _, y in make_stream(self.feats, self.labels, spec, 0))
         assert n == 40
 
     def test_drops_final_singleton(self):
         spec = StreamSpec(order="iid_shuffled", batch_size=16, total_samples=33)
-        sizes = [len(y) for _, y in make_stream(self.feats, self.labels, spec)]
+        sizes = [len(y) for _, y in make_stream(self.feats, self.labels, spec, 0)]
         assert sizes == [16, 16]
 
     def test_batch_pairs_features_with_labels(self):
-        spec = StreamSpec(order="iid_shuffled", batch_size=16, seed=2)
-        for xb, yb in make_stream(self.feats, self.labels, spec):
+        spec = StreamSpec(order="iid_shuffled", batch_size=16)
+        for xb, yb in make_stream(self.feats, self.labels, spec, 2):
             centers = class_centers(mixture(C=4))
             d2 = ((xb[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             assert (d2.argmin(axis=1) == yb).mean() > 0.9
 
     def test_empty_dataset_raises(self):
         with pytest.raises(ValueError):
-            list(make_stream(np.zeros((0, 4)), np.zeros(0, dtype=int), StreamSpec()))
+            list(make_stream(np.zeros((0, 4)), np.zeros(0, dtype=int), StreamSpec(), 0))
 
     def test_rejects_unknown_order(self):
         with pytest.raises(ValueError):
