@@ -34,6 +34,14 @@ class TauState:
     def __post_init__(self):
         if not math.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        for name in ("step_size", "logit_clamp"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 < self.tau_min < self.tau_max:
+            raise ValueError(f"need 0 < tau_min < tau_max, got tau_min={self.tau_min}, "
+                             f"tau_max={self.tau_max}")
 
     def clamped(self, tau: float) -> float:
         if math.isnan(tau):
@@ -89,8 +97,6 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
     of magnitude, so a fixed-length gradient step either stalls or
     overshoots; the relative trust region keeps every step productive.
     """
-    if state.steps < 0:
-        raise ValueError("tau step count must be >= 0")
     p_a = np.asarray(p_a, dtype=np.float64)
     p_s = np.asarray(p_s, dtype=np.float64)
     if p_a.shape != p_s.shape:
@@ -308,13 +314,31 @@ def coca_step(anchor: ModelHandle, auxiliary: ModelHandle, tau_state: TauState,
     return out.ensemble, out.breakdown
 
 
+def _step_if_finite(loss: float, batch: np.ndarray, models: Sequence[ModelHandle],
+                    optimizers: Sequence[SGD]) -> bool:
+    """Step every optimizer, unless the loss plus one sum over the batch and every
+    optimized gradient is non-finite: then clear every gradient and return False,
+    since a NaN update would stay in the norm parameters and SGD velocities.
+    """
+    grads = [p.grad for opt in optimizers for p in opt.params if p.grad is not None]
+    if not math.isfinite(loss + np.concatenate([batch, *grads], axis=None).sum()):
+        ad.zero_grads([p for m in models for p in m.all_params()])
+        return False
+    for opt in optimizers:
+        opt.step()
+    return True
+
+
 def tent_step(model: ModelHandle, batch: np.ndarray, optimizer: SGD) -> np.ndarray:
-    """Entropy-minimization baseline step; returns pre-update predictions."""
+    """Entropy-minimization baseline step that skips a non-finite batch's update.
+
+    Returns the pre-update predictions.
+    """
     with Tape():
         logits = forward_logits(model, Tensor(batch))
         loss = ad.tensor_mean(entropy_rows(logits))
         ad.backward(loss)
-    optimizer.step()
+    _step_if_finite(float(loss.data), batch, [model], [optimizer])
     return logits.data.argmax(axis=1)
 
 
@@ -351,10 +375,8 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
     the auxiliary is treated as collapsed and that pairing's ensemble
     falls back to its anchor for the batch.
 
-    If the batch, the loss or a gradient of an optimized parameter is
-    non-finite, the step is skipped: no optimizer steps, every gradient is
-    cleared, each tau is put back to its value before the step, and the
-    output has skipped set. Its predictions and losses are still reported.
+    A step that _step_if_finite skips also puts each tau back to its value
+    before the step and sets skipped; its predictions and losses are reported.
     """
     k = len(models_desc)
     if k < 2:
@@ -405,15 +427,8 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
             agg.l_sa += lvl.l_sa
             agg.l_total += lvl.l_total
         ad.backward(total)
-    # the loss plus one sum over the batch and every gradient is non-finite if
-    # any element is (or if the sum overflows); an update with a NaN would stay
-    # in the norm parameters and the SGD velocities for every later batch
-    grads = [p.grad for opt in optimizers for p in opt.params if p.grad is not None]
-    if not math.isfinite(agg.l_total + np.concatenate([batch, *grads], axis=None).sum()):
-        ad.zero_grads([p for m in models_desc for p in m.all_params()])
+    if not _step_if_finite(agg.l_total, batch, models_desc, optimizers):
         for state, tau in zip(tau_states, taus_before):
             state.tau = tau
         return CascadeOutput(preds, top, taus_before, agg, skipped=True)
-    for opt in optimizers:
-        opt.step()
     return CascadeOutput(preds, top, taus, agg)

@@ -71,16 +71,10 @@ class RunConfig(Record):
     strategy: str = "coca"
     n_per_class: int = 400
     pretrain_epochs: int = 30
-    pretrain_lr: float = 0.05
-    pretrain_batch_size: int = 64
     lam_col: float = 1.0
     tau_steps: int = 5
     tau_step_size: float = 1e-2
-    tau_clamp: float = 20.0
-    tau_min: float = 1e-2
-    tau_max: float = 1e3
     loss_masks: LossMasks = field(default_factory=LossMasks)
-    filter_threshold_factor: float = 0.4
     collapse_threshold: float = 0.4
     seed: int = 0
 
@@ -96,26 +90,15 @@ class RunConfig(Record):
         if self.lam_col == 0 and not self.loss_masks.sa:
             raise ValueError("lam_col = 0 with loss_masks.sa off leaves an objective "
                              "that is identically 0")
-        if not 0 < self.tau_min < self.tau_max:
-            raise ValueError(f"need 0 < tau_min < tau_max, got tau_min={self.tau_min}, "
-                             f"tau_max={self.tau_max}")
-        for name in ("collapse_threshold", "filter_threshold_factor"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        for name in ("n_per_class", "pretrain_epochs", "pretrain_batch_size"):
+        if not 0 <= self.collapse_threshold <= 1:
+            raise ValueError(f"collapse_threshold must be in [0, 1], got {self.collapse_threshold}")
+        for name in ("n_per_class", "pretrain_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 <= self.pretrain_lr < math.inf:
-            raise ValueError(f"pretrain_lr must be finite and >= 0, got {self.pretrain_lr}")
         if self.tau_steps < 0:
             raise ValueError(f"tau_steps must be >= 0, got {self.tau_steps}")
-        for name in ("tau_step_size", "tau_clamp"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if self.pretrain_batch_size < 2 and any(e.spec.norm_kind == "batchnorm"
-                                                for e in self.models):
-            raise ValueError("pretrain_batch_size must be >= 2 when a model uses batchnorm: "
-                             "its batch statistics need two samples")
+        if not 0 < self.tau_step_size < math.inf:
+            raise ValueError(f"tau_step_size must be finite and > 0, got {self.tau_step_size}")
         for entry in self.models:
             if entry.spec.num_classes != self.task.num_classes:
                 raise ValueError(
@@ -271,23 +254,25 @@ def parallel_map(fn: Callable, jobs: Sequence[tuple], workers: int) -> list:
 
 # --- pretraining ----------------------------------------------------------------
 
+PRETRAIN_LR = 0.05
+
+
 def _pretrain_job(config: RunConfig, i: int) -> tuple:
     """Everything pretraining model ``i`` reads, as _pretrain_one's arguments.
 
     Its repr is the model's cache key; the entry's adaptation lr is not part of it.
     """
     return (config.models[i].spec, i, config.task, config.n_per_class, config.epochs_of(i),
-            config.pretrain_lr, config.pretrain_batch_size, config.seed)
+            config.seed)
 
 
 def _pretrain_one(spec: ModelSpec, index: int, task: SourceTask, n_per_class: int,
-                  epochs: int, lr: float, batch_size: int, seed: int
-                  ) -> tuple[ModelHandle, list[dict]]:
+                  epochs: int, seed: int) -> tuple[ModelHandle, list[dict]]:
     """Build and pretrain the model at ``index`` of a run with this ``seed``."""
     feats, labels = gen_source(task, n_per_class, mix64(seed, 1))
     model = build_model(spec, mix64(seed, 100 + index))
-    log = pretrain(model, feats, labels, epochs=epochs, lr=lr,
-                   seed=mix64(seed, 200 + index), batch_size=batch_size)
+    log = pretrain(model, feats, labels, epochs=epochs, lr=PRETRAIN_LR,
+                   seed=mix64(seed, 200 + index))
     return model, log
 
 
@@ -344,6 +329,10 @@ def build_test_stream(config: RunConfig):
     return make_stream(feats, labels, config.stream, mix64(config.seed, 5))
 
 
+# coca_filtered keeps samples of ensemble entropy below this share of ln C (EATA's)
+FILTER_FACTOR = 0.4
+
+
 def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
         use_cache: bool = True) -> RunReport:
     """Execute one adaptation run and collect per-batch metrics."""
@@ -362,12 +351,9 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
         m.set_trainable(norm_only=True)
     optimizers = [SGD(m.norm_params(), lr=lrs[id(m)], momentum=0.9) for m in ordered]
 
-    filter_factor = (config.filter_threshold_factor
-                     if config.strategy == "coca_filtered" else None)
-    tau_kwargs = dict(step_size=config.tau_step_size, steps=config.tau_steps,
-                      tau_min=config.tau_min, tau_max=config.tau_max,
-                      logit_clamp=config.tau_clamp)
-    tau_states = [TauState(**tau_kwargs) for _ in range(max(1, n_models - 1))]
+    filter_factor = FILTER_FACTOR if config.strategy == "coca_filtered" else None
+    tau_states = [TauState(step_size=config.tau_step_size, steps=config.tau_steps)
+                  for _ in range(max(1, n_models - 1))]
 
     records: list[MetricsRecord] = []
     correct = np.zeros(n_models)

@@ -37,18 +37,16 @@ class SourceTask(Record):
     num_classes: int
     dims: int = 32                # gaussian_mixture feature dimension
     image_shape: tuple[int, int, int] = (1, 8, 8)
-    center_separation: float = 6.0  # pairwise center distance in noise-std units
-    noise_std: float = 1.0
-    center_seed: int = 0            # class centers are a task property
+    center_separation: float = 6.0  # pairwise center distance; the noise std is 1
 
     def __post_init__(self):
         if self.kind not in ("gaussian_mixture", "procedural_images"):
             raise ValueError(f"unsupported task kind: {self.kind!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        for name in ("center_separation", "noise_std"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 < self.center_separation < math.inf:
+            raise ValueError(f"center_separation must be finite and > 0, "
+                             f"got {self.center_separation}")
         if self.kind == "gaussian_mixture" and self.num_classes > self.dims:
             raise ValueError("gaussian_mixture requires num_classes <= dims")
         self.image_shape = tuple(int(d) for d in self.image_shape)
@@ -94,12 +92,12 @@ def class_centers(task: SourceTask) -> np.ndarray:
 
     Their pairwise distance is center_separation noise standard deviations.
     """
-    rng = np.random.default_rng(task.center_seed)
+    rng = np.random.default_rng(0)
     c = task.num_classes
     raw = rng.standard_normal((math.prod(task.feature_shape), c))
     q, _ = np.linalg.qr(raw)
-    # orthonormal centers are sqrt(2)*r apart; scale so the distance is sep*noise_std
-    radius = task.center_separation * task.noise_std / np.sqrt(2.0)
+    # orthonormal centers are sqrt(2)*r apart; scale so the distance is sep
+    radius = task.center_separation / np.sqrt(2.0)
     return (q[:, :c].T * radius).reshape((c,) + task.feature_shape)
 
 
@@ -109,7 +107,7 @@ def gen_source(task: SourceTask, n_per_class: int, seed: int):
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(task.num_classes), n_per_class)
-    noise = rng.standard_normal((len(labels),) + task.feature_shape) * task.noise_std
+    noise = rng.standard_normal((len(labels),) + task.feature_shape)
     return class_centers(task)[labels] + noise, labels
 
 

@@ -77,8 +77,20 @@ class TestLearnTau:
         assert state.tau == 1.0
 
     def test_negative_steps_rejected(self):
-        with pytest.raises(ValueError):
-            learn_tau(TauState(steps=-1), np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            TauState(steps=-1)
+
+    @pytest.mark.parametrize("name", ["step_size", "logit_clamp"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_search_scale(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            TauState(**{name: value})
+
+    @pytest.mark.parametrize("tau_min,tau_max", [(0.0, 1e3), (-1.0, 1e3), (5.0, 5.0),
+                                                 (10.0, 1.0), (float("nan"), 1e3)])
+    def test_rejects_bad_tau_range(self, tau_min, tau_max):
+        with pytest.raises(ValueError, match="tau_min"):
+            TauState(tau_min=tau_min, tau_max=tau_max)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ad.ShapeError, match="learn_tau: shapes"):
@@ -532,6 +544,24 @@ class TestNonFiniteGuard:
             else:
                 assert any(not np.array_equal(p.data, a) for p, a in zip(params, before))
             assert len(np.unique(out.y_hat)) > 1
+
+    def test_tent_step_skips_a_nan_batch(self):
+        # before the guard, layer0.norm_scale was NaN from batch 2 and from
+        # batch 3 every prediction was one class
+        model = a9_pair()[0]
+        opt = SGD(model.norm_params(), lr=0.01, momentum=0.9)
+        for b, batch in enumerate(self.nan_stream()):
+            before = [p.data.copy() for p in model.all_params()]
+            velocity = [v.copy() for v in opt.velocity]
+            preds = tent_step(model, batch, opt)
+            params = model.all_params()
+            assert all(np.isfinite(p.data).all() and p.grad is None for p in params)
+            if b == 2:
+                assert [p.data.tobytes() for p in params] == [a.tobytes() for a in before]
+                assert [v.tobytes() for v in opt.velocity] == [v.tobytes() for v in velocity]
+            else:
+                assert any(not np.array_equal(p.data, a) for p, a in zip(params, before))
+            assert len(np.unique(preds)) > 1
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_skipped_step_puts_every_tau_back(self, k, monkeypatch):

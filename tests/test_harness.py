@@ -96,17 +96,6 @@ class TestRunConfig:
                 small_config(lam_col=0.0, loss_masks=MASK_NAMES[name])
         assert small_config(lam_col=0.0, loss_masks=MASK_NAMES["sa"]).lam_col == 0.0
 
-    @pytest.mark.parametrize("tau_min,tau_max", [(0.0, 1e3), (-1.0, 1e3), (5.0, 5.0),
-                                                 (10.0, 1.0), (float("nan"), 1e3)])
-    def test_rejects_bad_tau_range(self, tau_min, tau_max):
-        with pytest.raises(ValueError, match="tau_min"):
-            small_config(tau_min=tau_min, tau_max=tau_max)
-
-    @pytest.mark.parametrize("size", [0, -3])
-    def test_rejects_pretrain_batch_size_below_one(self, size):
-        with pytest.raises(ValueError, match="pretrain_batch_size must be >= 1"):
-            small_config(pretrain_batch_size=size)
-
     @pytest.mark.parametrize("name", ["pretrain_epochs", "n_per_class"])
     @pytest.mark.parametrize("value", [0, -2])
     def test_rejects_pretraining_sizes_below_one(self, name, value):
@@ -132,14 +121,6 @@ class TestRunConfig:
         _, logs = harness.pretrain_models(cfg)
         assert [len(log) for log in logs] == [3, 1]
 
-    def test_batchnorm_needs_pretrain_batches_of_two(self):
-        # small_config's auxiliary uses batchnorm, which skips every batch
-        # of one sample, so its pretraining would see no batch at all
-        with pytest.raises(ValueError, match="pretrain_batch_size must be >= 2"):
-            small_config(pretrain_batch_size=1)
-        layernorm = [small_config().models[0]] * 2
-        assert small_config(models=layernorm, pretrain_batch_size=1).pretrain_batch_size == 1
-
     def test_rejects_a_stream_of_single_sample_batches(self):
         # make_stream drops such batches; the run used to divide by zero samples
         doc = small_config().to_dict()
@@ -147,7 +128,7 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="batch_size must be >= 2"):
             RunConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("name", ["collapse_threshold", "filter_threshold_factor"])
+    @pytest.mark.parametrize("name", ["collapse_threshold"])
     def test_thresholds_in_unit_interval(self, name):
         for bad in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match=name):
@@ -250,8 +231,7 @@ class TestPretrainCache:
         assert self.param_bytes(first) == self.param_bytes(again)
 
     @pytest.mark.parametrize("override", [
-        {"seed": 1}, {"pretrain_lr": 0.02}, {"pretrain_epochs": 3}, {"n_per_class": 30},
-        {"pretrain_batch_size": 16},
+        {"seed": 1}, {"pretrain_epochs": 3}, {"n_per_class": 30},
         {"task": SourceTask(kind="gaussian_mixture", num_classes=4, dims=8,
                             center_separation=3.0)},
     ], ids=lambda o: next(iter(o)))
@@ -356,7 +336,7 @@ def conv_config(**overrides):
                                          num_classes=4), lr=0.05)
                for ch in ([6, 8], [4, 4], [2, 3])]
     kwargs = dict(models=entries, task=task, strategy="coca", n_per_class=12,
-                  pretrain_epochs=2, pretrain_batch_size=20, seed=3)
+                  pretrain_epochs=2, seed=3)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
 

@@ -130,7 +130,7 @@ REJECTED = [
     (("models", 0, "spec", "input_shape"), "8", "<root>.models[0].spec.input_shape: expected a list"),
     (("models", 0, "spec", "hidden_sizes", 1), True, "<root>.models[0].spec.hidden_sizes[1]"),
     (("task", "image_shape"), [8, 8], "<root>.task.image_shape: expected 3 items"),
-    (("task", "noise_std"), None, "<root>.task.noise_std: expected a number"),
+    (("task", "center_separation"), None, "<root>.task.center_separation: expected a number"),
     (("stream",), None, "<root>.stream: expected an object"),
     (("stream", "batch_size"), 3.7, "<root>.stream.batch_size: expected an integer"),
     (("corruption",), {}, "<root>.corruption: missing required key 'kind'"),
