@@ -114,9 +114,18 @@ class TestValidateConfig:
         {"tau_step_size": 0.0},
         # this ended at chance accuracy with tau at its upper bound
         {"task": {"center_separation": float("nan")}},
+        # these fields are now constants; a config that still sets one, to any
+        # value, is refused before anything runs
+        {"pretrain_lr": float("nan")},
+        {"pretrain_lr": -0.05},
+        {"tau_clamp": 0.0},
+        {"tau_clamp": float("nan")},
+        {"task": {"noise_std": float("nan")}},
+        {"task": {"noise_std": -1.0}},
     ], ids=["lam_col", "zero_objective", "collapse", "lr_nan", "lr_inf", "lr_negative",
             "tau_steps_negative", "tau_step_size_nan", "tau_step_size_zero",
-            "center_separation_nan"])
+            "center_separation_nan", "pretrain_lr_nan", "pretrain_lr_negative",
+            "tau_clamp_zero", "tau_clamp_nan", "noise_std_nan", "noise_std_negative"])
     def test_rejects_out_of_range_values(self, tmp_path, capsys, overrides):
         doc = json.loads(write_config(tmp_path).read_text())
         if "lr" in overrides:   # an entry's adaptation lr
