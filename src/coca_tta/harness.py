@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .adaptation import LossMasks, TauState, multi_model_step, tent_step
+from .adaptation import LossBreakdown, LossMasks, TauState, multi_model_step, tent_step
 from .autodiff import SGD, Tensor
 from .models import (ModelHandle, ModelSpec, anchor_select, build_model,
                      forward_logits, pretrain)
@@ -81,6 +81,8 @@ class RunConfig(Record):
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unsupported strategy: {self.strategy!r}")
+        if not self.models:
+            raise ValueError("models must hold at least one entry")
         if self.strategy in ("coca", "coca_filtered") and len(self.models) < 2:
             raise ValueError("co-adaptation strategies require >= 2 models")
         if not (self.loss_masks.sa or self.loss_masks.mar or self.loss_masks.ckd):
@@ -104,6 +106,12 @@ class RunConfig(Record):
                 raise ValueError(
                     f"model classes {entry.spec.num_classes} incompatible with "
                     f"task classes {self.task.num_classes}")
+            if entry.spec.input_shape != self.task.feature_shape:
+                raise ValueError(f"model input shape {entry.spec.input_shape} incompatible "
+                                 f"with task feature shape {self.task.feature_shape}")
+        if (self.corruption is not None and self.corruption.kind == "blur3x3"
+                and self.task.kind != "procedural_images"):
+            raise ValueError(f"corruption blur3x3 needs an image task, not {self.task.kind}")
 
     def epochs_of(self, i: int) -> int:
         """Model ``i``'s pretraining budget: its entry's, else the run's."""
@@ -111,36 +119,8 @@ class RunConfig(Record):
         return self.pretrain_epochs if own is None else own
 
 
-@dataclass
-class MetricsRecord:
-    batch: int
-    acc_anchor: float
-    acc_aux: Optional[float]
-    acc_combined: Optional[float]
-    tau: Optional[float]
-    l_mar: Optional[float]
-    l_ckd: Optional[float]
-    l_sa: Optional[float]
-    l_total: Optional[float]
-    kept_frac: Optional[float]
-    n_samples: int = 0
-
-    def csv_row(self) -> str:
-        return ",".join([str(self.batch)] + [fmt_number(v) for v in (
-            self.acc_anchor, self.acc_aux, self.acc_combined, self.tau, self.l_mar,
-            self.l_ckd, self.l_sa, self.l_total, self.kept_frac)])
-
-
-@dataclass
-class RunReport:
-    config: RunConfig
-    records: list[MetricsRecord]
-    acc_per_model: list[float]   # anchor-first ordering
-    acc_combined: Optional[float]
-    tau_final: Optional[float]
-    tau_min_seen: Optional[float]
-    tau_max_seen: Optional[float]
-    n_samples: int
+class AnchorFirst:
+    """``acc_anchor`` and ``acc_aux`` of an anchor-first ``acc_per_model``."""
 
     @property
     def acc_anchor(self) -> float:
@@ -149,6 +129,59 @@ class RunReport:
     @property
     def acc_aux(self) -> Optional[float]:
         return self.acc_per_model[1] if len(self.acc_per_model) > 1 else None
+
+
+@dataclass
+class MetricsRecord(AnchorFirst):
+    """One batch of a run: every model's accuracy and the step's own numbers."""
+    batch: int
+    n_samples: int
+    acc_per_model: list[float]   # anchor-first ordering
+    acc_combined: Optional[float]
+    tau: Optional[float]
+    losses: Optional[LossBreakdown]
+
+    @property
+    def l_total(self) -> Optional[float]:
+        return None if self.losses is None else self.losses.l_total
+
+    def csv_row(self) -> str:
+        bd = self.losses
+        losses = ((None,) * 5 if bd is None
+                  else (bd.l_mar, bd.l_ckd, bd.l_sa, bd.l_total, bd.kept_frac))
+        return ",".join([str(self.batch)] + [fmt_number(v) for v in (
+            self.acc_anchor, self.acc_aux, self.acc_combined, self.tau, *losses)])
+
+
+@dataclass
+class RunReport(AnchorFirst):
+    """A run's records and the aggregates computed from them."""
+    config: RunConfig
+    records: list[MetricsRecord]
+    acc_per_model: list[float] = field(init=False)   # anchor-first ordering
+    acc_combined: Optional[float] = field(init=False)
+    tau_final: Optional[float] = field(init=False)
+    tau_min_seen: Optional[float] = field(init=False)
+    tau_max_seen: Optional[float] = field(init=False)
+    n_samples: int = field(init=False)
+
+    def __post_init__(self):
+        """Each accuracy is the records' sample-weighted mean."""
+        records = self.records
+        self.n_samples = sum(r.n_samples for r in records)
+
+        def mean(accs) -> float:
+            total = 0.0   # summed in batch order, as a running total would be
+            for acc, r in zip(accs, records):
+                total += acc * r.n_samples
+            return total / self.n_samples
+
+        self.acc_per_model = [mean(accs) for accs in zip(*(r.acc_per_model for r in records))]
+        combined = [r.acc_combined for r in records]
+        self.acc_combined = None if None in combined else mean(combined)
+        taus = [r.tau for r in records if r.tau is not None]
+        self.tau_final, self.tau_min_seen, self.tau_max_seen = (
+            (taus[-1], min(taus), max(taus)) if taus else (None, None, None))
 
     def to_json_dict(self) -> dict:
         return {
@@ -345,7 +378,6 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
 
     lrs = {id(m): e.lr for m, e in zip(models, config.models)}
     ordered = anchor_select(models) if len(models) >= 2 else list(models)
-    n_models = len(ordered)
 
     for m in ordered:
         m.set_trainable(norm_only=True)
@@ -353,59 +385,27 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
 
     filter_factor = FILTER_FACTOR if config.strategy == "coca_filtered" else None
     tau_states = [TauState(step_size=config.tau_step_size, steps=config.tau_steps)
-                  for _ in range(max(1, n_models - 1))]
+                  for _ in range(max(1, len(ordered) - 1))]
 
     records: list[MetricsRecord] = []
-    correct = np.zeros(n_models)
-    correct_combined = 0.0
-    total_seen = 0
-    has_combined = config.strategy in ("coca", "coca_filtered")
-
     for b, (xb, yb) in enumerate(build_test_stream(config)):
-        tau_val = None
-        losses = (None, None, None, None, None)
+        comb, tau, losses = None, None, None
         if config.strategy == "source_only":
             preds = [forward_logits(m, Tensor(xb)).data.argmax(axis=1) for m in ordered]
-            comb = None
         elif config.strategy == "tent":
             preds = [tent_step(m, xb, opt) for m, opt in zip(ordered, optimizers)]
-            comb = None
         else:
             out = multi_model_step(ordered, tau_states, xb, optimizers,
                                    filter_factor=filter_factor, lam_col=config.lam_col,
                                    masks=config.loss_masks,
                                    collapse_threshold=config.collapse_threshold)
-            preds = out.per_model_preds
-            comb = out.y_hat
-            bd = out.breakdown
-            tau_val = out.taus[-1]  # topmost pairing
-            losses = (bd.l_mar, bd.l_ckd, bd.l_sa, bd.l_total, bd.kept_frac)
-
-        n = len(yb)
-        total_seen += n
-        batch_accs = [evaluate_accuracy(p, yb) for p in preds]
-        for i, a in enumerate(batch_accs):
-            correct[i] += a * n
-        comb_acc = None
-        if comb is not None:
-            comb_acc = evaluate_accuracy(comb, yb)
-            correct_combined += comb_acc * n
+            preds, comb, losses = out.per_model_preds, out.y_hat, out.breakdown
+            tau = out.taus[-1]  # topmost pairing
         records.append(MetricsRecord(
-            batch=b, acc_anchor=batch_accs[0],
-            acc_aux=batch_accs[1] if n_models > 1 else None,
-            acc_combined=comb_acc, tau=tau_val,
-            l_mar=losses[0], l_ckd=losses[1], l_sa=losses[2],
-            l_total=losses[3], kept_frac=losses[4], n_samples=n))
-
-    taus = [r.tau for r in records if r.tau is not None]
-    return RunReport(
-        config=config, records=records,
-        acc_per_model=[float(c / total_seen) for c in correct],
-        acc_combined=(correct_combined / total_seen) if has_combined else None,
-        tau_final=taus[-1] if taus else None,
-        tau_min_seen=min(taus) if taus else None,
-        tau_max_seen=max(taus) if taus else None,
-        n_samples=total_seen)
+            batch=b, n_samples=len(yb), acc_per_model=[evaluate_accuracy(p, yb) for p in preds],
+            acc_combined=None if comb is None else evaluate_accuracy(comb, yb),
+            tau=tau, losses=losses))
+    return RunReport(config, records)
 
 
 # --- sweeps -------------------------------------------------------------------

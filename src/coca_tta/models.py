@@ -148,8 +148,6 @@ def forward_logits(model: ModelHandle, batch: Tensor) -> Tensor:
     if x.shape[1:] != expected:
         raise ad.ShapeError(
             f"forward: batch shape {x.shape} does not match input shape {expected}")
-    if spec.norm_kind == "batchnorm" and x.shape[0] < 2:
-        raise ad.ShapeError("forward: batchnorm model requires batch size >= 2")
     p = model.params
 
     if spec.kind == "mlp":

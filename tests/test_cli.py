@@ -140,6 +140,33 @@ class TestValidateConfig:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides,message", [
+        # ended in an IndexError inside run; pretrain wrote 0 checkpoints
+        ({"models": [], "strategy": "source_only"}, "at least one entry"),
+        # failed with a ShapeError at the first pretraining forward pass
+        ({"task": {"kind": "gaussian_mixture", "num_classes": 4, "dims": 6,
+                   "center_separation": 5.0}}, "input shape"),
+        # failed in apply_corruption, after every model had pretrained
+        ({"corruption": {"kind": "blur3x3", "severity": 2}}, "blur3x3"),
+    ], ids=["no_models", "input_shape", "blur_on_vectors"])
+    def test_rejects_before_any_pool_starts(self, tmp_path, capsys, monkeypatch,
+                                            overrides, message):
+        def no_pool(*args):
+            raise AssertionError("a process pool started")
+
+        monkeypatch.setattr(harness, "parallel_map", no_pool)
+        cfg = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=message):
+            validate_config(json.loads(cfg.read_text()))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lam_col": [0.5]}))
+        for argv in (["adapt", str(cfg)], ["pretrain", str(cfg)],
+                     ["sweep", str(cfg), "--grid", str(grid)]):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid config: ") and message in err
+            assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", list(REMOVED_KEYS))
     def test_rejects_a_removed_key(self, tmp_path, capsys, key):
         doc = json.loads(write_config(tmp_path).read_text())

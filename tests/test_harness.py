@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from coca_tta import cli, harness
-from coca_tta.adaptation import LossMasks
+from coca_tta.adaptation import LossBreakdown, LossMasks
 from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
                               RunConfig, evaluate_accuracy, mix64,
                               point_config, prepare_models, run, sweep_points)
@@ -139,21 +139,20 @@ class TestRunConfig:
 
 class TestMetricsRecord:
     def test_csv_row_with_values(self):
-        rec = MetricsRecord(batch=3, acc_anchor=0.5, acc_aux=0.25,
-                            acc_combined=0.75, tau=1.5, l_mar=0.1, l_ckd=0.2,
-                            l_sa=0.3, l_total=0.6, kept_frac=1.0, n_samples=32)
+        rec = MetricsRecord(batch=3, n_samples=32, acc_per_model=[0.5, 0.25],
+                            acc_combined=0.75, tau=1.5,
+                            losses=LossBreakdown(l_mar=0.1, l_ckd=0.2, l_sa=0.3,
+                                                 l_total=0.6, kept_frac=1.0))
         assert rec.csv_row() == "3,0.5,0.25,0.75,1.5,0.1,0.2,0.3,0.6,1"
 
     def test_csv_row_na_for_missing(self):
-        rec = MetricsRecord(batch=0, acc_anchor=1.0, acc_aux=None,
-                            acc_combined=None, tau=None, l_mar=None, l_ckd=None,
-                            l_sa=None, l_total=None, kept_frac=None)
+        rec = MetricsRecord(batch=0, n_samples=32, acc_per_model=[1.0],
+                            acc_combined=None, tau=None, losses=None)
         assert rec.csv_row() == "0,1,NA,NA,NA,NA,NA,NA,NA,NA"
 
     def test_header_field_count_matches_row(self):
-        rec = MetricsRecord(batch=0, acc_anchor=1.0, acc_aux=None,
-                            acc_combined=None, tau=None, l_mar=None, l_ckd=None,
-                            l_sa=None, l_total=None, kept_frac=None)
+        rec = MetricsRecord(batch=0, n_samples=32, acc_per_model=[1.0],
+                            acc_combined=None, tau=None, losses=None)
         assert len(CSV_HEADER.split(",")) == len(rec.csv_row().split(","))
 
 
@@ -275,7 +274,7 @@ class TestPretrainCache:
 
 
 class TestBenchmarkContract:
-    """What perfbench/ relies on: it times harness.prepare_models by name."""
+    """What perfbench/ relies on: it times harness.prepare_models by name and reads run reports."""
 
     @staticmethod
     def count_prepares(monkeypatch, pretrains: list) -> list:
@@ -313,6 +312,25 @@ class TestBenchmarkContract:
         assert len(pretrains) == 4
         assert TestPretrainCache.param_bytes(first) == TestPretrainCache.param_bytes(again)
         assert not harness._PRETRAIN_CACHE
+
+    @pytest.mark.parametrize("strategy", ["coca", "tent"])
+    def test_run_report_holds_what_the_benchmark_reads(self, strategy):
+        # the adapt loop counts report.records and report.n_samples, checks
+        # record.l_total for non-finite losses, compares report.metrics_csv()
+        # across runs and reads report.acc_combined; the tracer reads n_samples
+        report = run(small_config(strategy=strategy, pretrain_epochs=2))
+        assert len(report.records) == 8
+        assert report.n_samples == sum(r.n_samples for r in report.records) == 256
+        lines = report.metrics_csv().splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == len(report.records) + 1
+        assert ([line.split(",")[8] for line in lines[1:]]
+                == [harness.fmt_number(r.l_total) for r in report.records])
+        if strategy == "tent":
+            assert all(r.l_total is None for r in report.records)
+            assert report.acc_combined is None
+        else:
+            assert all(isinstance(r.l_total, float) for r in report.records)
+            assert isinstance(report.acc_combined, float)
 
     def test_sweep_point_pretrains_inside_one_uncached_call(self, monkeypatch, tmp_path):
         # the tracer wraps cli._sweep_one, and models.pretrain wherever it is held
@@ -534,6 +552,16 @@ class TestRun:
         assert r.acc_combined is None
         assert r.tau_final is None
         assert all(rec.acc_combined is None for rec in r.records)
+
+    def test_three_model_records_keep_every_accuracy(self):
+        r = run(conv_config())
+        assert all(len(rec.acc_per_model) == 3 for rec in r.records)
+        assert r.n_samples == sum(rec.n_samples for rec in r.records)
+        for i in range(3):
+            total = 0.0
+            for rec in r.records:
+                total += rec.acc_per_model[i] * rec.n_samples
+            assert r.acc_per_model[i] == total / r.n_samples
 
     @pytest.mark.parametrize("n_entries,order", [
         (3, [2, 1]),   # three entries configured, two models of other specs
