@@ -2,8 +2,7 @@
 
 from .adaptation import (CascadeOutput, EnsembleOutput, LossBreakdown, LossMasks,
                          TauState, ckd_loss, coca_step, ensemble, learn_tau,
-                         marginal_entropy, multi_model_step, self_adapt_loss,
-                         tent_step)
+                         marginal_entropy, multi_model_step, self_adapt_loss)
 from .autodiff import SGD, Tape, Tensor, backward
 from .harness import (ModelEntry, MetricsRecord, RunConfig, RunReport,
                       ablation_sweep, evaluate_accuracy, mix64, run)

@@ -2,9 +2,9 @@
 
 Implements the online learnable temperature, max-preserving logit
 ensembling, the combined marginal-entropy / cross-model-distillation /
-self-adaptation objective, an entropy-minimization single-model baseline,
-optional entropy filtering, and one co-adaptation step for two or more
-models, a cascade of pairings.
+self-adaptation objective, optional entropy filtering, and one adaptation
+step for one or more models: a cascade of pairings, where one model alone
+is the entropy-minimization (Tent) baseline.
 """
 
 from __future__ import annotations
@@ -329,31 +329,18 @@ def _step_if_finite(loss: float, batch: np.ndarray, models: Sequence[ModelHandle
     return True
 
 
-def tent_step(model: ModelHandle, batch: np.ndarray, optimizer: SGD) -> np.ndarray:
-    """Entropy-minimization baseline step that skips a non-finite batch's update.
-
-    Returns the pre-update predictions.
-    """
-    with Tape():
-        logits = forward_logits(model, Tensor(batch))
-        loss = ad.tensor_mean(entropy_rows(logits))
-        ad.backward(loss)
-    _step_if_finite(float(loss.data), batch, [model], [optimizer])
-    return logits.data.argmax(axis=1)
-
-
 @dataclass
 class CascadeOutput:
     per_model_preds: list[np.ndarray]  # aligned with the descending model order
-    ensemble: EnsembleOutput           # topmost pairing
+    ensemble: Optional[EnsembleOutput]  # topmost pairing; None for one model
     taus: list[float]                  # per-pairing tau, innermost first
     breakdown: LossBreakdown           # summed over pairing levels
     skipped: bool = False              # non-finite batch, loss or gradient: no update
 
     @property
     def y_hat(self) -> np.ndarray:
-        """Topmost combined prediction."""
-        return self.ensemble.y_hat
+        """Topmost combined prediction; one model's own predictions."""
+        return self.per_model_preds[0] if self.ensemble is None else self.ensemble.y_hat
 
 
 def multi_model_step(models_desc: Sequence[ModelHandle],
@@ -363,9 +350,11 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
                      lam_col: float = 1.0,
                      masks: Optional[LossMasks] = None,
                      collapse_threshold: float = 0.0) -> CascadeOutput:
-    """One online co-adaptation step for >= 2 models ranked descending by size.
+    """One online adaptation step for >= 1 models ranked descending by size.
 
-    The two smallest models form the innermost pair; each pairing's
+    One model has no pairing: its loss is Tent's, the mean entropy of its own
+    predictions over the kept rows, and lam_col and masks do not apply. The
+    two smallest models form the innermost pair; each pairing's
     ensemble serves as the auxiliary against the next-larger model with
     its own temperature, so two models are a single pairing. All models
     update from the sum of the pairing losses. Reported predictions come
@@ -379,8 +368,8 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
     before the step and sets skipped; its predictions and losses are reported.
     """
     k = len(models_desc)
-    if k < 2:
-        raise ValueError(f"multi_model_step requires >= 2 models, got {k}")
+    if k < 1:
+        raise ValueError("multi_model_step requires >= 1 model, got 0")
     if len(tau_states) != k - 1:
         raise ValueError(f"expected {k - 1} tau states, got {len(tau_states)}")
     masks = masks or LossMasks()
@@ -404,10 +393,11 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
             if i > 0:  # only a next pairing reads this one's ensemble
                 aux_t = anchor_t if ens.aux_dropped else _ensemble_tensor(anchor_t, aux_t, ens)
 
-        top = levels[-1][2]
+        top = levels[-1][2] if levels else None
         if filter_factor is not None:  # EATA-style: keep rows below factor * ln C
-            _, lse, qz = _softmax_stats(top.p_e)
-            keep = lse - qz < filter_factor * np.log(top.p_e.shape[1])
+            z = logits[0].data if top is None else top.p_e
+            _, lse, qz = _softmax_stats(z)
+            keep = lse - qz < filter_factor * np.log(z.shape[1])
         else:
             keep = np.ones(len(batch), dtype=bool)
 
@@ -419,6 +409,10 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
 
         total = None
         agg = LossBreakdown(0.0, 0.0, 0.0, 0.0, kept_frac=float(keep.mean()))
+        if not levels:  # Tent: the kept rows' mean entropy, as L_sa
+            rows = ad.mul(entropy_rows(logits[0]), Tensor(keep.astype(np.float64)))
+            total = ad.scalar_div(ad.tensor_sum(rows), int(keep.sum()))
+            agg.l_sa = agg.l_total = float(total.data)
         for anchor_t, pair_aux_t, ens in levels:
             lvl_total, lvl = _combined_loss(anchor_t, pair_aux_t, ens, keep, lam_col, masks)
             total = lvl_total if total is None else ad.add(total, lvl_total)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .adaptation import LossBreakdown, LossMasks, TauState, multi_model_step, tent_step
+from .adaptation import LossBreakdown, LossMasks, TauState, multi_model_step
 from .autodiff import SGD, Tensor
 from .models import (ModelHandle, ModelSpec, anchor_select, build_model,
                      forward_logits, pretrain)
@@ -377,7 +377,7 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
             raise ValueError(f"model {i} has spec {model.spec}; config entry {i} has {entry.spec}")
 
     lrs = {id(m): e.lr for m, e in zip(models, config.models)}
-    ordered = anchor_select(models) if len(models) >= 2 else list(models)
+    ordered = anchor_select(models)
 
     for m in ordered:
         m.set_trainable(norm_only=True)
@@ -385,7 +385,7 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
 
     filter_factor = FILTER_FACTOR if config.strategy == "coca_filtered" else None
     tau_states = [TauState(step_size=config.tau_step_size, steps=config.tau_steps)
-                  for _ in range(max(1, len(ordered) - 1))]
+                  for _ in range(len(ordered) - 1)]
 
     records: list[MetricsRecord] = []
     for b, (xb, yb) in enumerate(build_test_stream(config)):
@@ -393,7 +393,8 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
         if config.strategy == "source_only":
             preds = [forward_logits(m, Tensor(xb)).data.argmax(axis=1) for m in ordered]
         elif config.strategy == "tent":
-            preds = [tent_step(m, xb, opt) for m, opt in zip(ordered, optimizers)]
+            preds = [multi_model_step([m], [], xb, [opt]).y_hat
+                     for m, opt in zip(ordered, optimizers)]
         else:
             out = multi_model_step(ordered, tau_states, xb, optimizers,
                                    filter_factor=filter_factor, lam_col=config.lam_col,

@@ -241,8 +241,6 @@ def pretrain(model: ModelHandle, features: np.ndarray, labels: np.ndarray,
 
 def anchor_select(models: Sequence[ModelHandle]) -> list[ModelHandle]:
     """Order models anchor-first: descending param count, ties by declaration order."""
-    if len(models) < 2:
-        raise ValueError("anchor selection requires at least 2 models")
     indexed = list(enumerate(models))
     indexed.sort(key=lambda im: (-im[1].param_count, im[0]))
     return [m for _, m in indexed]
@@ -299,6 +297,8 @@ def load_checkpoint(path: str) -> ModelHandle:
                 name = name_raw.decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(f"parameter name is not UTF-8: {name_raw!r}") from None
+            if name in loaded:
+                raise CheckpointError(f"parameter {name!r} appears twice in checkpoint")
             dims = r.u32s(*r.u32s(1, f"rank of parameter {name!r}"),
                           f"shape of parameter {name!r}")
             loaded[name] = r.array(dims, "<f8", f"data for parameter {name!r}")

@@ -13,7 +13,7 @@ from coca_tta.adaptation import (LossMasks, TauState, agreement_rate,
                                  ckd_loss, coca_step, drop_auxiliary,
                                  ensemble, entropy_rows, learn_tau,
                                  marginal_entropy, multi_model_step,
-                                 self_adapt_loss, tent_step)
+                                 self_adapt_loss)
 from coca_tta.autodiff import SGD, Tape, Tensor
 from coca_tta.models import ModelSpec, build_model, forward_logits, pretrain
 from coca_tta.shiftgen import SourceTask, gen_source
@@ -519,19 +519,20 @@ class TestNonFiniteGuard:
         batches[2, 5, 3] = np.nan
         return batches
 
-    def test_nan_feature_skips_only_its_batch(self):
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_nan_feature_skips_only_its_batch(self, k):
         # before the guard, relu mapped the NaN rows to 0 so every loss stayed
         # finite, but a layernorm scale gradient was NaN: from batch 2 a norm
-        # parameter of each model was NaN and from batch 3 the pair predicted
-        # one class
-        pair = a9_pair()
+        # parameter of each model was NaN and from batch 3 the models predicted
+        # one class (one model alone, the entropy-minimization baseline, too)
+        pair = a9_pair()[:k]
         opts = [SGD(m.norm_params(), lr=0.01, momentum=0.9) for m in pair]
-        state = TauState()
+        states = [TauState() for _ in range(k - 1)]
         for b, batch in enumerate(self.nan_stream()):
             before = [p.data.copy() for m in pair for p in m.all_params()]
             velocity = [v.copy() for o in opts for v in o.velocity]
-            tau = state.tau
-            out = multi_model_step(pair, [state], batch, opts)
+            taus = [s.tau for s in states]
+            out = multi_model_step(pair, states, batch, opts)
             assert out.skipped == (b == 2)
             assert np.isfinite(out.breakdown.l_total)
             params = [p for m in pair for p in m.all_params()]
@@ -540,28 +541,10 @@ class TestNonFiniteGuard:
                 assert [p.data.tobytes() for p in params] == [a.tobytes() for a in before]
                 assert [v.tobytes() for o in opts for v in o.velocity] == [
                     v.tobytes() for v in velocity]
-                assert state.tau == tau and out.taus == [tau]
+                assert [s.tau for s in states] == taus and out.taus == taus
             else:
                 assert any(not np.array_equal(p.data, a) for p, a in zip(params, before))
             assert len(np.unique(out.y_hat)) > 1
-
-    def test_tent_step_skips_a_nan_batch(self):
-        # before the guard, layer0.norm_scale was NaN from batch 2 and from
-        # batch 3 every prediction was one class
-        model = a9_pair()[0]
-        opt = SGD(model.norm_params(), lr=0.01, momentum=0.9)
-        for b, batch in enumerate(self.nan_stream()):
-            before = [p.data.copy() for p in model.all_params()]
-            velocity = [v.copy() for v in opt.velocity]
-            preds = tent_step(model, batch, opt)
-            params = model.all_params()
-            assert all(np.isfinite(p.data).all() and p.grad is None for p in params)
-            if b == 2:
-                assert [p.data.tobytes() for p in params] == [a.tobytes() for a in before]
-                assert [v.tobytes() for v in opt.velocity] == [v.tobytes() for v in velocity]
-            else:
-                assert any(not np.array_equal(p.data, a) for p, a in zip(params, before))
-            assert len(np.unique(preds)) > 1
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_skipped_step_puts_every_tau_back(self, k, monkeypatch):
@@ -591,7 +574,7 @@ class TestTentStep:
             before = entropy_rows(forward_logits(model, Tensor(batch))).data.mean()
         opt = SGD(model.norm_params(), lr=0.1)
         for _ in range(5):
-            tent_step(model, batch, opt)
+            multi_model_step([model], [], batch, [opt])
         with Tape():
             after = entropy_rows(forward_logits(model, Tensor(batch))).data.mean()
         assert after < before
@@ -602,8 +585,65 @@ class TestTentStep:
         with Tape():
             expect = forward_logits(model, Tensor(batch)).data.argmax(axis=1)
         opt = SGD(model.norm_params(), lr=0.5)
-        got = tent_step(model, batch, opt)
+        got = multi_model_step([model], [], batch, [opt]).y_hat
         assert np.array_equal(got, expect)
+
+    @staticmethod
+    def tent_oracle(model, batch, optimizer):
+        """The entropy-minimization step as its own composed graph, the oracle."""
+        with Tape():
+            logits = forward_logits(model, Tensor(batch))
+            loss = ad.tensor_mean(entropy_rows(logits))
+            ad.backward(loss)
+        co._step_if_finite(float(loss.data), batch, [model], [optimizer])
+        return logits.data.argmax(axis=1), float(loss.data)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["layernorm", "batchnorm"])
+    def test_one_model_step_is_the_composed_tent_oracle_bit_for_bit(self, index):
+        model = a9_pair()[index]
+        oracle = model.clone()
+        opt = SGD(model.norm_params(), lr=0.05, momentum=0.9)
+        oracle_opt = SGD(oracle.norm_params(), lr=0.05, momentum=0.9)
+        for batch in np.random.default_rng(40).standard_normal((6, 32, 12)):
+            out = multi_model_step([model], [], batch, [opt])
+            preds, loss = self.tent_oracle(oracle, batch, oracle_opt)
+            assert out.ensemble is None and out.taus == [] and not out.skipped
+            assert out.y_hat.tobytes() == out.per_model_preds[0].tobytes() == preds.tobytes()
+            bd = out.breakdown
+            assert (bd.l_total, bd.l_sa, bd.l_mar, bd.l_ckd, bd.kept_frac) == (
+                loss, loss, 0.0, 0.0, 1.0)
+            assert ([p.data.tobytes() for p in model.all_params()]
+                    == [p.data.tobytes() for p in oracle.all_params()])
+            assert ([v.tobytes() for v in opt.velocity]
+                    == [v.tobytes() for v in oracle_opt.velocity])
+            assert any(v.any() for v in opt.velocity)
+
+    def test_filter_takes_the_mean_entropy_of_the_kept_rows(self):
+        model = a9_pair()[0]
+        batch = np.random.default_rng(41).standard_normal((32, 12)) * 3
+        with Tape():
+            h = entropy_rows(forward_logits(model, Tensor(batch))).data
+        factor = float(np.median(h)) / np.log(6)
+        keep = h < factor * np.log(6)
+        out = multi_model_step([model], [], batch, [SGD(model.norm_params(), lr=0.1)],
+                               filter_factor=factor)
+        assert 0 < out.breakdown.kept_frac < 1
+        assert out.breakdown.kept_frac == keep.mean()
+        assert out.breakdown.l_total == pytest.approx(h[keep].mean(), rel=1e-14, abs=0)
+
+    def test_batch_with_every_row_filtered_updates_nothing(self):
+        model = a9_pair()[0]
+        opt = SGD(model.norm_params(), lr=0.1, momentum=0.9)
+        batches = np.random.default_rng(42).standard_normal((2, 32, 12))
+        multi_model_step([model], [], batches[0], [opt])   # a nonzero velocity
+        before = [p.data.copy() for p in model.all_params()]
+        velocity = [v.copy() for v in opt.velocity]
+        out = multi_model_step([model], [], batches[1], [opt], filter_factor=1e-9)
+        assert out.breakdown.kept_frac == 0.0 and out.breakdown.l_total == 0.0
+        params = model.all_params()
+        assert [p.data.tobytes() for p in params] == [a.tobytes() for a in before]
+        assert [v.tobytes() for v in opt.velocity] == [v.tobytes() for v in velocity]
+        assert all(p.grad is None for p in params)
 
 
 class TestCascade:
@@ -621,10 +661,9 @@ class TestCascade:
             m.set_trainable(norm_only=True)
         return out
 
-    def test_rejects_single_model(self):
-        ms = self.models3()[:1]
-        with pytest.raises(ValueError, match=">= 2 models"):
-            multi_model_step(ms, [], np.zeros((4, 6)), [])
+    def test_rejects_zero_models(self):
+        with pytest.raises(ValueError, match=">= 1 model"):
+            multi_model_step([], [], np.zeros((4, 6)), [])
 
     def test_two_models_are_one_pairing(self):
         ms = self.models3()[:2]

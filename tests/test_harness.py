@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coca_tta import cli, harness
+from coca_tta import adaptation, cli, harness
 from coca_tta.adaptation import LossBreakdown, LossMasks
 from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
                               RunConfig, evaluate_accuracy, mix64,
@@ -274,7 +274,7 @@ class TestPretrainCache:
 
 
 class TestBenchmarkContract:
-    """What perfbench/ relies on: it times harness.prepare_models by name and reads run reports."""
+    """What perfbench/ relies on: it patches functions by name and reads run reports."""
 
     @staticmethod
     def count_prepares(monkeypatch, pretrains: list) -> list:
@@ -331,6 +331,24 @@ class TestBenchmarkContract:
         else:
             assert all(isinstance(r.l_total, float) for r in report.records)
             assert isinstance(report.acc_combined, float)
+
+    def test_tent_runs_each_model_through_the_traced_step(self, monkeypatch):
+        # the tracer replaces these adaptation functions by name, and
+        # multi_model_step also where harness holds it; its step span must
+        # then time tent's steps too, one one-model step per model and batch
+        for name in ("coca_step", "multi_model_step", "learn_tau", "ensemble",
+                     "drop_auxiliary"):
+            assert callable(getattr(adaptation, name)), name
+        assert harness.multi_model_step is adaptation.multi_model_step
+        calls, step = [], harness.multi_model_step
+
+        def counted(models_desc, *args, **kwargs):
+            calls.append(len(models_desc))
+            return step(models_desc, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "multi_model_step", counted)
+        report = run(small_config(strategy="tent", pretrain_epochs=2))
+        assert calls == [1] * 2 * len(report.records) and len(report.records) == 8
 
     def test_sweep_point_pretrains_inside_one_uncached_call(self, monkeypatch, tmp_path):
         # the tracer wraps cli._sweep_one, and models.pretrain wherever it is held

@@ -334,9 +334,10 @@ class TestAnchorSelect:
         models = [Fake(counts["mvit"]), Fake(counts["rn18"])]
         assert anchor_select(models)[0].param_count == counts["rn18"]
 
-    def test_requires_two(self):
-        with pytest.raises(ValueError):
-            anchor_select([build_model(small_spec(), seed=0)])
+    def test_one_model_is_its_own_order(self):
+        model = build_model(small_spec(), seed=0)
+        ordered = anchor_select([model])
+        assert len(ordered) == 1 and ordered[0] is model
 
 
 class TestAdaptationMode:
@@ -346,10 +347,10 @@ class TestAdaptationMode:
         model.set_trainable(norm_only=True)
         frozen = {n: p.data.copy() for n, p in model.params.items()
                   if n not in model.norm_param_names}
-        from coca_tta.adaptation import tent_step
+        from coca_tta.adaptation import multi_model_step
         from coca_tta.autodiff import SGD
         opt = SGD(model.norm_params(), lr=0.1)
-        tent_step(model, feats, opt)
+        multi_model_step([model], [], feats, [opt])
         for name, before in frozen.items():
             assert np.array_equal(model.params[name].data, before)
 
@@ -397,6 +398,18 @@ class TestCheckpoint:
             f.write(data[:len(data) - 9])
         with pytest.raises(CheckpointError):
             load_checkpoint(cut)
+
+    def test_repeated_parameter_rejected(self, tmp_path):
+        # before the check, the last copy of a repeated name won silently
+        model = self.trained(tmp_path)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        name = b"head.bias"
+        forged = np.full(model.params["head.bias"].data.shape, 7.0)
+        path.write_bytes(path.read_bytes() + u32(len(name)) + name
+                         + u32(forged.ndim, *forged.shape) + forged.astype("<f8").tobytes())
+        with pytest.raises(CheckpointError, match="'head.bias' appears twice"):
+            load_checkpoint(str(path))
 
     def test_unsupported_version_rejected(self, tmp_path):
         model = self.trained(tmp_path)
