@@ -11,7 +11,7 @@ anchor.
 
 import numpy as np
 
-from coca_tta.harness import ModelEntry, RunConfig, run
+from coca_tta.harness import ModelEntry, RunConfig, prepare_models, run
 from coca_tta.models import ModelSpec
 from coca_tta.shiftgen import SourceTask, StreamSpec
 
@@ -34,16 +34,19 @@ def config(order, collapse_threshold):
         collapse_threshold=collapse_threshold, seed=5)
 
 
+# stream order and guard leave pretraining as it is, so every run adapts
+# its own copy of one pretraining
+pretrained = prepare_models(config("iid_shuffled", 0.0))
 for order in ("iid_shuffled", "label_sorted"):
     for threshold in (0.0, 0.4):
-        report = run(config(order, threshold))
+        report = run(config(order, threshold), [m.clone() for m in pretrained])
         print(f"{order:13s} guard={threshold:.1f}  "
               f"anchor {report.acc_anchor:.3f}  aux {report.acc_aux:.3f}  "
               f"combined {report.acc_combined:.3f}  "
               f"tau final {report.tau_final:.3f}")
     print()
 
-report = run(config("label_sorted", 0.4))
+report = run(config("label_sorted", 0.4), [m.clone() for m in pretrained])
 accs = np.array([r.acc_aux for r in report.records])
 print("auxiliary per-batch accuracy on the sorted stream (guard on):")
 print(np.round(accs[::4], 2).tolist())

@@ -9,7 +9,7 @@ Run from the repository root:
 
 import numpy as np
 
-from coca_tta.harness import ModelEntry, RunConfig, run
+from coca_tta.harness import ModelEntry, RunConfig, prepare_models, run
 from coca_tta.models import ModelSpec
 from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
 
@@ -38,14 +38,16 @@ def config(strategy):
 
 
 print("pretraining and running three strategies on the same corrupted stream")
+# every strategy adapts its own copy of one pretraining
+pretrained = prepare_models(config("coca"))
 for strategy in ("source_only", "tent", "coca"):
-    report = run(config(strategy))
+    report = run(config(strategy), [m.clone() for m in pretrained])
     per_model = ", ".join(f"{a:.3f}" for a in report.acc_per_model)
     comb = "-" if report.acc_combined is None else f"{report.acc_combined:.3f}"
     tau = "-" if report.tau_final is None else f"{report.tau_final:.3f}"
     print(f"  {strategy:12s} per-model [{per_model}]  combined {comb}  tau {tau}")
 
-report = run(config("coca"))
+report = run(config("coca"), [m.clone() for m in pretrained])
 taus = np.array([r.tau for r in report.records])
 print(f"\ntemperature trajectory: start {taus[0]:.3f}, "
       f"median {np.median(taus):.3f}, final {taus[-1]:.3f}")

@@ -85,7 +85,7 @@ def cmd_adapt(args) -> int:
 
 def _sweep_one(cfg_dict: dict, point: dict, index: int, out_dir: str) -> dict:
     cfg = harness.point_config(RunConfig.from_dict(cfg_dict), point, index)
-    report = run(cfg, use_cache=False)
+    report = run(cfg)
     sub = Path(out_dir) / f"run_{index:03d}"
     sub.mkdir(parents=True, exist_ok=True)
     (sub / "report.json").write_text(report.to_json())

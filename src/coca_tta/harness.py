@@ -13,7 +13,6 @@ import json
 import math
 import os
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -293,7 +292,8 @@ PRETRAIN_LR = 0.05
 def _pretrain_job(config: RunConfig, i: int) -> tuple:
     """Everything pretraining model ``i`` reads, as _pretrain_one's arguments.
 
-    Its repr is the model's cache key; the entry's adaptation lr is not part of it.
+    Configs with equal job lists pretrain equal models; the entry's
+    adaptation lr is not part of the job.
     """
     return (config.models[i].spec, i, config.task, config.n_per_class, config.epochs_of(i),
             config.seed)
@@ -309,40 +309,22 @@ def _pretrain_one(spec: ModelSpec, index: int, task: SourceTask, n_per_class: in
     return model, log
 
 
-# Pretrained models and logs of recent runs, one per model entry, least
-# recently used first. The cap bounds a long-lived process; the reference
-# anchor holds about 0.3 MB of parameters.
-PRETRAIN_CACHE_CAP = 32
-_PRETRAIN_CACHE: OrderedDict[str, tuple[ModelHandle, list[dict]]] = OrderedDict()
-
-
-def pretrain_models(config: RunConfig, cache: bool = False
-                    ) -> tuple[list[ModelHandle], list[list[dict]]]:
+def pretrain_models(config: RunConfig) -> tuple[list[ModelHandle], list[list[dict]]]:
     """Build and pretrain the configured models (deterministic in the run seed).
 
     Returns the models and each model's pretraining log. Models pretrain in
     parallel, one process per model up to the usable CPUs; each depends only
-    on its job, so the results equal those of a serial loop. With ``cache``,
-    only the models missing from the per-model cache pretrain, and the
-    caller gets clones it may adapt freely.
+    on its job, so the results equal those of a serial loop. Every call
+    pretrains; a caller that adapts the same pretraining twice passes clones.
     """
     jobs = [_pretrain_job(config, i) for i in range(len(config.models))]
-    store = _PRETRAIN_CACHE if cache else OrderedDict()
-    missing = [job for job in jobs if repr(job) not in store]
-    store.update(zip(map(repr, missing), parallel_map(_pretrain_one, missing, usable_cpus())))
-    for job in jobs:
-        store.move_to_end(repr(job))
-    pairs = [store[repr(job)] for job in jobs]
-    while len(store) > PRETRAIN_CACHE_CAP:
-        store.popitem(last=False)
-    if cache:
-        pairs = [(model.clone(), [dict(entry) for entry in log]) for model, log in pairs]
+    pairs = parallel_map(_pretrain_one, jobs, usable_cpus())
     return [model for model, _ in pairs], [log for _, log in pairs]
 
 
-def prepare_models(config: RunConfig, cache: bool = False) -> list[ModelHandle]:
+def prepare_models(config: RunConfig) -> list[ModelHandle]:
     """The pretrained models of pretrain_models, without their logs."""
-    return pretrain_models(config, cache)[0]
+    return pretrain_models(config)[0]
 
 
 def build_test_set(config: RunConfig):
@@ -366,10 +348,13 @@ def build_test_stream(config: RunConfig):
 FILTER_FACTOR = 0.4
 
 
-def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None,
-        use_cache: bool = True) -> RunReport:
-    """Execute one adaptation run and collect per-batch metrics."""
-    models = list(prepare_models(config, use_cache) if models is None else models)
+def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None) -> RunReport:
+    """Execute one adaptation run and collect per-batch metrics.
+
+    Without ``models`` the run pretrains its own in one prepare_models call.
+    Given models are adapted in place.
+    """
+    models = list(prepare_models(config) if models is None else models)
     if len(models) != len(config.models):
         raise ValueError(f"got {len(models)} models for {len(config.models)} config entries")
     for i, (entry, model) in enumerate(zip(config.models, models)):
@@ -445,6 +430,9 @@ def point_config(base: RunConfig, point: dict, index: int) -> RunConfig:
                 raise ValueError(f"{path}.{key}: unknown mask name {value!r}; "
                                  f"expected one of {list(MASK_NAMES)}")
             value = MASK_NAMES[value].to_dict()
+        if key == "pretrain_epochs" and all(e.pretrain_epochs is not None for e in base.models):
+            raise ValueError(f"{path}.{key}: every model entry sets its own pretrain_epochs, "
+                             "so the run's budget changes nothing")
         if key == "severity":
             if doc["corruption"] is None:
                 raise ValueError(f"{path}: severity override requires a corruption spec")
@@ -471,8 +459,19 @@ def sweep_points(grid: dict[str, list]) -> list[dict]:
 def ablation_sweep(base: RunConfig, grid: dict[str, list]) -> list[tuple[dict, RunReport]]:
     """Cartesian-product sweep; a point without a seed gets a derived one.
 
-    Every point's config is validated before the first run starts.
+    Every point's config is validated before the first run starts. Points
+    whose _pretrain_job lists are equal share one pretraining: each adapts
+    clones of it, and it is released after the last point that reads it.
     """
     points = sweep_points(grid)
     configs = [point_config(base, p, i) for i, p in enumerate(points)]
-    return [(p, run(cfg)) for p, cfg in zip(points, configs)]
+    keys = [repr([_pretrain_job(cfg, i) for i in range(len(cfg.models))]) for cfg in configs]
+    last = {key: i for i, key in enumerate(keys)}
+    shared: dict[str, list[ModelHandle]] = {}
+    results = []
+    for i, (point, cfg, key) in enumerate(zip(points, configs, keys)):
+        if key not in shared:
+            shared[key] = prepare_models(cfg)
+        pretrained = shared[key] if last[key] > i else shared.pop(key)
+        results.append((point, run(cfg, [m.clone() for m in pretrained])))
+    return results

@@ -198,6 +198,9 @@ def save_dataset(path: str, features: np.ndarray, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if len(features) != len(labels):
         raise DatasetError("features and labels length mismatch")
+    # the file holds each label as a little-endian u32
+    if not (np.issubdtype(labels.dtype, np.integer) and np.all((labels >= 0) & (labels < 2**32))):
+        raise DatasetError("labels must be integers in [0, 2**32)")
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         write_u32s(f, DATASET_VERSION, len(labels), features.ndim, *features.shape)
@@ -220,4 +223,6 @@ def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise DatasetError("dataset shape does not match sample count")
         features = r.array(dims, "<f8", "dataset features")
         labels = r.array((count,), "<u4", "dataset labels").astype(np.int64)
+        if r.left():
+            raise DatasetError(f"{r.left()} bytes after the dataset labels")
     return features, labels

@@ -13,7 +13,8 @@ from coca_tta.adaptation import (LossMasks, TauState, coca_step, ensemble,
                                  entropy_rows, learn_tau)
 from coca_tta.autodiff import SGD, Tape, Tensor
 from coca_tta.cli import main as cli_main
-from coca_tta.harness import MASK_NAMES, ModelEntry, RunConfig, run
+from coca_tta.harness import (MASK_NAMES, ModelEntry, RunConfig, _pretrain_job,
+                              _pretrain_one, prepare_models, run)
 from coca_tta.models import ModelSpec, build_model, forward_logits
 from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
 from test_autodiff import check_op
@@ -53,13 +54,32 @@ def ref_config(seed, **overrides):
 
 
 @functools.lru_cache(maxsize=None)
+def ref_pair(seed):
+    """The reference pair of ``seed``, pretrained once; runs adapt clones of it."""
+    return tuple(prepare_models(ref_config(seed)))
+
+
+def ref_run(seed, **overrides):
+    """run(ref_config(seed, **overrides)), starting from the seed's reference pair.
+
+    The overrides leave the pair's pretraining as it is; a model past the
+    pair pretrains as that entry of the config.
+    """
+    cfg = ref_config(seed, **overrides)
+    jobs = [_pretrain_job(cfg, i) for i in range(len(cfg.models))]
+    assert jobs[:2] == [_pretrain_job(ref_config(seed), i) for i in range(2)]
+    models = [m.clone() for m in ref_pair(seed)] + [_pretrain_one(*job)[0] for job in jobs[2:]]
+    return run(cfg, models)
+
+
+@functools.lru_cache(maxsize=None)
 def coca_runs():
-    return tuple(run(ref_config(s)) for s in SEEDS)
+    return tuple(ref_run(s) for s in SEEDS)
 
 
 @functools.lru_cache(maxsize=None)
 def tent_runs():
-    return tuple(run(ref_config(s, strategy="tent")) for s in SEEDS)
+    return tuple(ref_run(s, strategy="tent") for s in SEEDS)
 
 
 # --- A1: gradient correctness -------------------------------------------------
@@ -196,7 +216,7 @@ def test_a5_full_loss_dominates_ablations():
         if name == "sa+mar+ckd":
             reports = coca_runs()
         else:
-            reports = [run(ref_config(s, loss_masks=masks)) for s in SEEDS]
+            reports = [ref_run(s, loss_masks=masks) for s in SEEDS]
         means[name] = np.mean([r.acc_combined for r in reports])
     full = means["sa+mar+ckd"]
     deficits = {k: float((full - v) * PT) for k, v in means.items()}
@@ -216,10 +236,9 @@ def test_a6_sorted_stream_raises_tau_without_collapse():
     tau_wins = 0
     combined, anchor_tent = [], []
     for s in SEEDS:
-        r_iid = run(ref_config(s, corruption=None))
-        r_sorted = run(ref_config(s, corruption=None, stream=sorted_stream))
-        r_tent = run(ref_config(s, corruption=None, stream=sorted_stream,
-                                strategy="tent"))
+        r_iid = ref_run(s, corruption=None)
+        r_sorted = ref_run(s, corruption=None, stream=sorted_stream)
+        r_tent = ref_run(s, corruption=None, stream=sorted_stream, strategy="tent")
         tau_wins += r_sorted.tau_final > r_iid.tau_final
         combined.append(r_sorted.acc_combined)
         anchor_tent.append(r_tent.acc_per_model[0])
@@ -235,7 +254,7 @@ def test_a6_sorted_stream_raises_tau_without_collapse():
 def test_a7_step_count_insensitivity():
     accs = {5: [r.acc_combined for r in coca_runs()]}
     for k in (0, 1, 3, 10):
-        accs[k] = [run(ref_config(s, tau_steps=k)).acc_combined for s in SEEDS]
+        accs[k] = [ref_run(s, tau_steps=k).acc_combined for s in SEEDS]
     means = {k: np.mean(v) for k, v in accs.items()}
     active = [means[k] for k in (1, 3, 5, 10)]
     spread = (max(active) - min(active)) * PT
@@ -254,8 +273,7 @@ def test_a8_third_model_does_not_hurt():
                                       num_classes=16),
                        lr=5e-3, pretrain_epochs=18)
     entries3 = ref_entries() + [third]
-    acc3 = np.mean([run(ref_config(s, models=entries3)).acc_combined
-                    for s in SEEDS])
+    acc3 = np.mean([ref_run(s, models=entries3).acc_combined for s in SEEDS])
     acc2 = np.mean([r.acc_combined for r in coca_runs()])
     delta = (acc3 - acc2) * PT
     ok = delta >= -0.5

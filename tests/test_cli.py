@@ -418,6 +418,20 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: invalid config: {message}\n"
         assert not out.exists()
 
+    def test_budget_that_no_entry_reads_fails_before_any_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        for entry, epochs in zip(doc["models"], (45, 18)):
+            entry["pretrain_epochs"] = epochs
+        cfg.write_text(json.dumps(doc))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"pretrain_epochs": [2, 90]}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid config: <point 0>.pretrain_epochs: every model entry")
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid,path", [
         ({"loss_masks": [{"sa": "no"}]}, "<point 0>.loss_masks.sa"),
         ({"lam_col": ["0.5"]}, "<point 0>.lam_col"),

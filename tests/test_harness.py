@@ -167,37 +167,14 @@ class TestEvaluateAccuracy:
 
 
 class TestPretrainCache:
-    def test_cached_models_are_isolated_clones(self):
-        cfg = small_config()
-        a = prepare_models(cfg, cache=True)
-        b = prepare_models(cfg, cache=True)
-        name = next(iter(a[0].params))
-        a[0].params[name].data += 1.0
-        assert not np.array_equal(a[0].params[name].data, b[0].params[name].data)
-
-    def test_cached_logs_match_a_fresh_pretraining(self, monkeypatch):
-        monkeypatch.setattr(harness, "_PRETRAIN_CACHE", type(harness._PRETRAIN_CACHE)())
-        cfg = small_config(pretrain_epochs=2)
-        fresh = harness.pretrain_models(cfg)[1]
-        first = harness.pretrain_models(cfg, cache=True)[1]
-        first[0][0]["loss"] = -1.0   # the cache hands out copies
-        assert harness.pretrain_models(cfg, cache=True)[1] == fresh
-
-    def test_cache_hit_is_deterministic(self):
-        cfg = small_config()
-        a = prepare_models(cfg, cache=True)
-        b = prepare_models(cfg, cache=True)
-        for x, y in zip(a, b):
-            for n in x.params:
-                assert np.array_equal(x.params[n].data, y.params[n].data)
+    """ablation_sweep's store of shared pretrainings, keyed by the points' job lists."""
 
     @staticmethod
     def count_pretrains(monkeypatch) -> list:
-        """Start from an empty cache; return a list that grows per pretrained model.
+        """Return a list that grows per pretrained model.
 
         One usable CPU keeps pretraining in this process, where it is counted.
         """
-        monkeypatch.setattr(harness, "_PRETRAIN_CACHE", type(harness._PRETRAIN_CACHE)())
         monkeypatch.setattr(harness, "usable_cpus", lambda: 1)
         calls, pretrain = [], harness.pretrain
         monkeypatch.setattr(harness, "pretrain",
@@ -208,26 +185,45 @@ class TestPretrainCache:
     def param_bytes(models) -> list:
         return [[p.data.tobytes() for p in m.all_params()] for m in models]
 
+    @staticmethod
+    def sweep_over(monkeypatch, configs) -> list:
+        """ablation_sweep whose point i has config ``configs[i]``.
+
+        A grid reaches only the sweep keys; this also varies what no key does.
+        """
+        monkeypatch.setattr(harness, "point_config", lambda base, point, i: configs[i])
+        return harness.ablation_sweep(configs[0], {"point": list(range(len(configs)))})
+
+    def test_equal_jobs_pretrain_once(self, monkeypatch):
+        calls = self.count_pretrains(monkeypatch)
+        base = small_config(pretrain_epochs=2)
+        out = harness.ablation_sweep(base, {"tau_steps": [0, 1, 5], "lam_col": [0.5, 1.0],
+                                            "seed": [3]})
+        assert len(out) == 6 and len(calls) == 2
+        # points without a seed each get their own, and so their own pretraining
+        harness.ablation_sweep(base, {"tau_steps": [0, 1]})
+        assert len(calls) == 6
+
     def test_added_model_pretrains_only_itself(self, monkeypatch):
+        # a caller that adds a model to a pretrained pair pretrains only the
+        # new one, as the larger config's entry of that index
         calls = self.count_pretrains(monkeypatch)
         cfg2 = small_config(pretrain_epochs=2)
         third = ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(8,), hidden_sizes=[6],
                                           norm_kind="layernorm", num_classes=4), lr=5e-3)
         cfg3 = small_config(pretrain_epochs=2, models=cfg2.models + [third])
-        prepare_models(cfg2, cache=True)
+        pair = prepare_models(cfg2)
         assert len(calls) == 2
-        cached = prepare_models(cfg3, cache=True)
+        added, _ = harness._pretrain_one(*harness._pretrain_job(cfg3, 2))
         assert len(calls) == 3
-        assert self.param_bytes(cached) == self.param_bytes(harness.prepare_models(cfg3))
+        assert self.param_bytes(pair + [added]) == self.param_bytes(prepare_models(cfg3))
 
     def test_adaptation_lr_is_not_part_of_the_key(self, monkeypatch):
         calls = self.count_pretrains(monkeypatch)
         cfg = small_config(pretrain_epochs=2)
-        first = prepare_models(cfg, cache=True)
         relr = [replace(e, lr=e.lr * 3) for e in cfg.models]
-        again = prepare_models(small_config(pretrain_epochs=2, models=relr), cache=True)
+        self.sweep_over(monkeypatch, [cfg, small_config(pretrain_epochs=2, models=relr)])
         assert len(calls) == 2
-        assert self.param_bytes(first) == self.param_bytes(again)
 
     @pytest.mark.parametrize("override", [
         {"seed": 1}, {"pretrain_epochs": 3}, {"n_per_class": 30},
@@ -237,40 +233,48 @@ class TestPretrainCache:
     def test_pretraining_inputs_are_part_of_the_key(self, monkeypatch, override):
         calls = self.count_pretrains(monkeypatch)
         base = small_config(pretrain_epochs=2)
-        prepare_models(base, cache=True)
-        changed = prepare_models(small_config(**{"pretrain_epochs": 2, **override}),
-                                 cache=True)
+        self.sweep_over(monkeypatch, [base, small_config(**{"pretrain_epochs": 2, **override})])
         assert len(calls) == 4
-        assert self.param_bytes(changed) != self.param_bytes(harness.prepare_models(base))
 
     def test_entry_spec_epochs_and_index_are_part_of_the_key(self, monkeypatch):
         calls = self.count_pretrains(monkeypatch)
         cfg = small_config(pretrain_epochs=2)
-        prepare_models(cfg, cache=True)
         longer = [replace(cfg.models[0], pretrain_epochs=3), cfg.models[1]]
-        prepare_models(small_config(pretrain_epochs=2, models=longer), cache=True)
-        assert len(calls) == 3
         narrower = [cfg.models[0], replace(cfg.models[1], spec=replace(
             cfg.models[1].spec, hidden_sizes=[10]))]
-        prepare_models(small_config(pretrain_epochs=2, models=narrower), cache=True)
-        assert len(calls) == 4
-        swapped = prepare_models(small_config(pretrain_epochs=2, models=cfg.models[::-1]),
-                                 cache=True)
-        assert len(calls) == 6
-        assert self.param_bytes(swapped) == self.param_bytes(
-            harness.prepare_models(small_config(pretrain_epochs=2, models=cfg.models[::-1])))
+        swapped = cfg.models[::-1]
+        # the first set is still held for the last point, which reads it again
+        self.sweep_over(monkeypatch, [cfg] + [small_config(pretrain_epochs=2, models=m)
+                                              for m in (longer, narrower, swapped)] + [cfg])
+        assert len(calls) == 8
 
-    def test_cache_never_grows_past_its_cap(self, monkeypatch):
-        calls = self.count_pretrains(monkeypatch)
-        cap = harness.PRETRAIN_CACHE_CAP
-        keep = small_config(pretrain_epochs=1, n_per_class=4)
-        for seed in range(cap // 2 + 2):
-            prepare_models(small_config(pretrain_epochs=1, n_per_class=4, seed=seed),
-                           cache=True)
-            assert len(harness._PRETRAIN_CACHE) <= cap
-            prepare_models(keep, cache=True)   # kept recent, so never evicted
-        assert len(harness._PRETRAIN_CACHE) == cap
-        assert len(calls) == 2 * (cap // 2 + 2)
+    def test_cache_hit_is_deterministic(self, monkeypatch):
+        # a point that shares a pretraining starts from it, never from the
+        # parameters an earlier point adapted
+        before, after, real_run = [], [], harness.run
+
+        def recording(cfg, models=None):
+            before.append(self.param_bytes(models))
+            report = real_run(cfg, models)
+            after.append(self.param_bytes(models))
+            return report
+
+        monkeypatch.setattr(harness, "run", recording)
+        base = small_config(pretrain_epochs=2)
+        harness.ablation_sweep(base, {"tau_steps": [1, 5, 0], "seed": [base.seed]})
+        fresh = self.param_bytes(prepare_models(base))
+        assert before == [fresh] * 3
+        assert all(adapted != fresh for adapted in after)
+
+    def test_each_point_equals_a_lone_run(self):
+        # the two seeds' points alternate, so both sets are held at once
+        base = small_config(pretrain_epochs=2)
+        grid = {"strategy": ["coca", "tent", "source_only"], "seed": [3, 4]}
+        out = harness.ablation_sweep(base, grid)
+        for i, (point, report) in enumerate(out):
+            lone = run(point_config(base, point, i))
+            assert report.to_json() == lone.to_json()
+            assert report.metrics_csv() == lone.metrics_csv()
 
 
 class TestBenchmarkContract:
@@ -290,28 +294,32 @@ class TestBenchmarkContract:
         monkeypatch.setattr(harness, "prepare_models", counted)
         return spans
 
-    @pytest.mark.parametrize("use_cache", [True, False])
-    def test_run_pretrains_inside_one_prepare_models_call(self, monkeypatch, use_cache):
+    def test_run_and_pretraining_take_only_the_config(self):
+        # the set-up times prepare_models(config); adapt runs pass clones
+        assert list(inspect.signature(harness.run).parameters) == ["config", "models"]
+        for fn in (harness.prepare_models, harness.pretrain_models):
+            assert list(inspect.signature(fn).parameters) == ["config"], fn.__name__
+
+    def test_run_pretrains_inside_one_prepare_models_call(self, monkeypatch):
         # the sweep's adaptation time is harness.run minus this one span
         pretrains = TestPretrainCache.count_pretrains(monkeypatch)
         spans = self.count_prepares(monkeypatch, pretrains)
         cfg = small_config(pretrain_epochs=2)
-        kwargs = {} if use_cache else {"use_cache": False}
-        run(cfg, **kwargs)
+        run(cfg)
         assert spans == [2]
         assert len(pretrains) == 2
-        run(cfg, **kwargs)
-        assert spans == [2, 0 if use_cache else 2]
+        run(cfg)
+        assert spans == [2, 2]
+        assert len(pretrains) == 4
 
     def test_prepare_models_pretrains_on_every_call(self, monkeypatch):
-        # the adapt set-up times it, so it must never be a cache hit
+        # the adapt set-up times it, so every call pretrains
         pretrains = TestPretrainCache.count_pretrains(monkeypatch)
         cfg = small_config(pretrain_epochs=2)
         first = harness.prepare_models(cfg)
         again = harness.prepare_models(cfg)
         assert len(pretrains) == 4
         assert TestPretrainCache.param_bytes(first) == TestPretrainCache.param_bytes(again)
-        assert not harness._PRETRAIN_CACHE
 
     @pytest.mark.parametrize("strategy", ["coca", "tent"])
     def test_run_report_holds_what_the_benchmark_reads(self, strategy):
@@ -360,7 +368,6 @@ class TestBenchmarkContract:
         cli._sweep_one(small_config(pretrain_epochs=2).to_dict(), {"tau_steps": 1}, 0,
                        str(tmp_path))
         assert spans == [2]
-        assert not harness._PRETRAIN_CACHE
 
 
 def conv_config(**overrides):
@@ -533,18 +540,6 @@ class TestProcessPool:
         assert requested == [3]
         assert pooled == serial
 
-    def test_cache_fills_in_the_calling_process(self, monkeypatch):
-        monkeypatch.setattr(harness, "_PRETRAIN_CACHE", type(harness._PRETRAIN_CACHE)())
-        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)
-        requested = self.record_pools(monkeypatch, processes=True)
-        cfg = conv_config()
-        first = prepare_models(cfg, cache=True)
-        again = prepare_models(cfg, cache=True)
-        assert requested == [2]
-        assert len(harness._PRETRAIN_CACHE) == 3
-        assert ([[p.data.tobytes() for p in m.all_params()] for m in first]
-                == [[p.data.tobytes() for p in m.all_params()] for m in again])
-
 
 class TestRun:
     def test_coca_run_shape_and_determinism(self):
@@ -593,13 +588,13 @@ class TestRun:
         cfg = replace(base, models=entries[:n_entries])
         models = [build_model(entries[i].spec, seed=i) for i in order]
         with pytest.raises(ValueError, match="config entr"):
-            run(cfg, models=models, use_cache=False)
+            run(cfg, models=models)
 
     def test_source_only_never_updates(self):
         cfg = small_config(strategy="source_only", seed=6)
-        models = prepare_models(cfg, cache=True)
+        models = prepare_models(cfg)
         before = {n: p.data.copy() for n, p in models[0].params.items()}
-        run(cfg, models=models, use_cache=False)
+        run(cfg, models=models)
         for n, arr in before.items():
             assert np.array_equal(models[0].params[n].data, arr)
 
@@ -645,6 +640,15 @@ class TestSweeps:
         assert harness.point_config(base, {"seed": 9}, 3).seed == 9
         with pytest.raises(ValueError, match="identically 0"):
             harness.point_config(base, {"loss_masks": "mar"}, 0)
+
+    def test_point_config_rejects_a_budget_that_no_entry_reads(self):
+        # each entry's own budget wins, so the points would pretrain alike
+        base = small_config(models=[replace(e, pretrain_epochs=n)
+                                    for e, n in zip(small_config().models, (45, 18))])
+        with pytest.raises(ValueError, match=r"<point 1>\.pretrain_epochs: every model entry"):
+            point_config(base, {"pretrain_epochs": 90}, 1)
+        partial = replace(base, models=[base.models[0], small_config().models[1]])
+        assert point_config(partial, {"pretrain_epochs": 90}, 1).epochs_of(1) == 90
 
     def test_ablation_sweep_validates_every_point_first(self, monkeypatch):
         calls = []

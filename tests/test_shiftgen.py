@@ -266,6 +266,22 @@ class TestDatasetIO:
         with pytest.raises(DatasetError):
             load_dataset(path)
 
+    def test_bytes_after_the_labels_rejected(self, tmp_path):
+        feats, labels = gen_source(mixture(C=3), n_per_class=1, seed=0)
+        path = tmp_path / "d.cocd"
+        save_dataset(str(path), feats, labels)
+        path.write_bytes(path.read_bytes() + b"garbage-tail")
+        with pytest.raises(DatasetError, match="12 bytes after the dataset labels"):
+            load_dataset(str(path))
+
+    @pytest.mark.parametrize("bad", [-1, 1.7, 2**32], ids=["negative", "fraction", "u32_max+1"])
+    def test_labels_a_u32_cannot_hold_rejected(self, tmp_path, bad):
+        # they used to be written as 4294967295, 1 and 0
+        path = tmp_path / "d.cocd"
+        with pytest.raises(DatasetError, match=r"labels must be integers in \[0, 2\*\*32\)"):
+            save_dataset(str(path), np.zeros((3, 2)), np.array([0, 1, bad]))
+        assert not path.exists()
+
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             save_dataset(str(tmp_path / "d.cocd"), np.zeros((3, 2)), np.zeros(2, dtype=int))
