@@ -300,15 +300,18 @@ class TestBenchmarkContract:
         for fn in (harness.prepare_models, harness.pretrain_models):
             assert list(inspect.signature(fn).parameters) == ["config"], fn.__name__
 
-    def test_run_pretrains_inside_one_prepare_models_call(self, monkeypatch):
-        # the sweep's adaptation time is harness.run minus this one span
+    @pytest.mark.parametrize("explicit_none", [True, False])
+    def test_run_pretrains_inside_one_prepare_models_call(self, monkeypatch, explicit_none):
+        # the sweep's adaptation time is harness.run minus this one span;
+        # models=None passed explicitly must pretrain just like the default
         pretrains = TestPretrainCache.count_pretrains(monkeypatch)
         spans = self.count_prepares(monkeypatch, pretrains)
         cfg = small_config(pretrain_epochs=2)
-        run(cfg)
+        kwargs = {"models": None} if explicit_none else {}
+        run(cfg, **kwargs)
         assert spans == [2]
         assert len(pretrains) == 2
-        run(cfg)
+        run(cfg, **kwargs)
         assert spans == [2, 2]
         assert len(pretrains) == 4
 
