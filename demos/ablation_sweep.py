@@ -15,15 +15,15 @@ base = RunConfig(
     models=[
         ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(16,),
                                   hidden_sizes=[64, 64], norm_kind="layernorm",
-                                  num_classes=8), lr=1e-3),
+                                  num_classes=8), lr=1e-3, pretrain_epochs=20),
         ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(16,),
                                   hidden_sizes=[24], norm_kind="batchnorm",
-                                  num_classes=8), lr=2e-2),
+                                  num_classes=8), lr=2e-2, pretrain_epochs=20),
     ],
     task=task, strategy="coca",
     corruption=CorruptionSpec(kind="gaussian_noise", severity=4),
     stream=StreamSpec(order="iid_shuffled", batch_size=64, total_samples=1600),
-    n_per_class=200, pretrain_epochs=20, seed=7)
+    n_per_class=200, seed=7)
 
 print("loss-term ablation (same seed, same stream):")
 results = ablation_sweep(base, {"loss_masks": list(MASK_NAMES), "seed": [base.seed]})

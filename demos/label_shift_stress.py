@@ -20,9 +20,10 @@ task = SourceTask(kind="gaussian_mixture", num_classes=8, dims=16,
 models = [
     ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(16,),
                               hidden_sizes=[64, 64], norm_kind="layernorm",
-                              num_classes=8), lr=1e-3),
+                              num_classes=8), lr=1e-3, pretrain_epochs=20),
     ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(16,), hidden_sizes=[24],
-                              norm_kind="batchnorm", num_classes=8), lr=2e-2),
+                              norm_kind="batchnorm", num_classes=8), lr=2e-2,
+               pretrain_epochs=20),
 ]
 
 
@@ -30,8 +31,7 @@ def config(order, collapse_threshold):
     return RunConfig(
         models=models, task=task, strategy="coca",
         stream=StreamSpec(order=order, batch_size=64, total_samples=1600),
-        n_per_class=200, pretrain_epochs=20,
-        collapse_threshold=collapse_threshold, seed=5)
+        n_per_class=200, collapse_threshold=collapse_threshold, seed=5)
 
 
 # stream order and guard leave pretraining as it is, so every run adapts

@@ -138,9 +138,10 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
 
     The sum is scaled by 1 / T, with the per-sample balance factor
     T = max p_e' / max p_a, so the maximum logit matches the anchor's;
-    samples where either maximum is <= 0 fall back to T = 1. The loss
-    forms its ensemble logits with the same expression (_ensemble_logits), so
-    predictions, the filter and the objective see bit-equal logits.
+    samples where either maximum is <= 0 fall back to T = 1. The filter and
+    the next pairing read this p_e. The objective forms its ensemble logits
+    from its own inputs with the same expression, so it is a function of
+    them and sees bit-equal logits.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -213,25 +214,18 @@ def _softmax_stats(z: np.ndarray):
     return q, lse, (q * z).sum(axis=-1)
 
 
-def _ensemble_logits(z_a: np.ndarray, z_s: np.ndarray, ens: EnsembleOutput):
-    """Ensemble logits (z_a + z_s / tau) * (1 / T) of the loss and its row scale.
+def _ensemble_tensor(anchor_t: Tensor, aux_t: Tensor, ens: EnsembleOutput) -> Tensor:
+    """ens.p_e, formed from these tensors, as one tape node: the next pairing's auxiliary.
 
-    The balance factor T is a constant for model gradients. On the logits
-    that formed ens this is bit-equal to ens.p_e.
+    The balance factor T is a constant for model gradients.
     """
     scale = 1.0 / ens.T[:, None]
-    return (z_a + z_s / ens.tau) * scale, scale
-
-
-def _ensemble_tensor(anchor_t: Tensor, aux_t: Tensor, ens: EnsembleOutput) -> Tensor:
-    """The ensemble logits as one tape node, the auxiliary of the next pairing."""
-    out, scale = _ensemble_logits(anchor_t.data, aux_t.data, ens)
 
     def bwd(g):
         ga = g * scale
         return ga, ga / ens.tau
 
-    return ad._record("ensemble_logits", (anchor_t, aux_t), out, bwd)
+    return ad._record("ensemble_logits", (anchor_t, aux_t), ens.p_e, bwd)
 
 
 def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, ens: EnsembleOutput,
@@ -254,7 +248,8 @@ def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, ens: EnsembleOutput,
     if ens.aux_dropped:
         z_e, q_e, qz_e, h_e = z_a, q_a, qz_a, h_a
     else:
-        z_e, scale = _ensemble_logits(z_a, z_s, ens)
+        scale = 1.0 / ens.T[:, None]   # T is a constant for model gradients
+        z_e = (z_a + z_s / ens.tau) * scale
         q_e, lse_e, qz_e = _softmax_stats(z_e)
         h_e = lse_e - qz_e
     rows = np.arange(len(z_a))

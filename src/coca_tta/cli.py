@@ -172,12 +172,12 @@ def cmd_dataset_import(args) -> int:
     feats, labels = shiftgen.load_dataset(args.in_file)
     if len(labels) == 0:
         raise shiftgen.DatasetError(f"{args.in_file}: dataset holds no samples")
-    hist = np.bincount(labels).tolist()
+    present, counts = np.unique(labels, return_counts=True)
     summary = {
         "schema": 1,
         "count": int(len(labels)),
         "feature_shape": list(feats.shape[1:]),
-        "class_histogram": hist,
+        "class_histogram": [[int(c), int(n)] for c, n in zip(present, counts)],
         "feature_mean": float(feats.mean()),
         "feature_std": float(feats.std()),
     }

@@ -49,14 +49,13 @@ def mix64(seed: int, index: int) -> int:
 class ModelEntry(Record):
     spec: ModelSpec
     lr: float
-    # per-model pretraining budget; None falls back to the run value
-    pretrain_epochs: Optional[int] = None
+    pretrain_epochs: int = 30
 
     def __post_init__(self):
         if not 0 <= self.lr < math.inf:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.pretrain_epochs is not None and self.pretrain_epochs < 1:
-            raise ValueError(f"pretrain_epochs must be >= 1 or None, got {self.pretrain_epochs}")
+        if self.pretrain_epochs < 1:
+            raise ValueError(f"pretrain_epochs must be >= 1, got {self.pretrain_epochs}")
 
 
 @dataclass
@@ -69,10 +68,8 @@ class RunConfig(Record):
     corruption: Optional[CorruptionSpec] = None
     strategy: str = "coca"
     n_per_class: int = 400
-    pretrain_epochs: int = 30
     lam_col: float = 1.0
     tau_steps: int = 5
-    tau_step_size: float = 1e-2
     loss_masks: LossMasks = field(default_factory=LossMasks)
     collapse_threshold: float = 0.4
     seed: int = 0
@@ -93,13 +90,10 @@ class RunConfig(Record):
                              "that is identically 0")
         if not 0 <= self.collapse_threshold <= 1:
             raise ValueError(f"collapse_threshold must be in [0, 1], got {self.collapse_threshold}")
-        for name in ("n_per_class", "pretrain_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_per_class < 1:
+            raise ValueError(f"n_per_class must be >= 1, got {self.n_per_class}")
         if self.tau_steps < 0:
             raise ValueError(f"tau_steps must be >= 0, got {self.tau_steps}")
-        if not 0 < self.tau_step_size < math.inf:
-            raise ValueError(f"tau_step_size must be finite and > 0, got {self.tau_step_size}")
         for entry in self.models:
             if entry.spec.num_classes != self.task.num_classes:
                 raise ValueError(
@@ -111,11 +105,6 @@ class RunConfig(Record):
         if (self.corruption is not None and self.corruption.kind == "blur3x3"
                 and self.task.kind != "procedural_images"):
             raise ValueError(f"corruption blur3x3 needs an image task, not {self.task.kind}")
-
-    def epochs_of(self, i: int) -> int:
-        """Model ``i``'s pretraining budget: its entry's, else the run's."""
-        own = self.models[i].pretrain_epochs
-        return self.pretrain_epochs if own is None else own
 
 
 class AnchorFirst:
@@ -295,8 +284,8 @@ def _pretrain_job(config: RunConfig, i: int) -> tuple:
     Configs with equal job lists pretrain equal models; the entry's
     adaptation lr is not part of the job.
     """
-    return (config.models[i].spec, i, config.task, config.n_per_class, config.epochs_of(i),
-            config.seed)
+    entry = config.models[i]
+    return (entry.spec, i, config.task, config.n_per_class, entry.pretrain_epochs, config.seed)
 
 
 def _pretrain_one(spec: ModelSpec, index: int, task: SourceTask, n_per_class: int,
@@ -369,8 +358,7 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None) -> Ru
     optimizers = [SGD(m.norm_params(), lr=lrs[id(m)], momentum=0.9) for m in ordered]
 
     filter_factor = FILTER_FACTOR if config.strategy == "coca_filtered" else None
-    tau_states = [TauState(step_size=config.tau_step_size, steps=config.tau_steps)
-                  for _ in range(len(ordered) - 1)]
+    tau_states = [TauState(steps=config.tau_steps) for _ in range(len(ordered) - 1)]
 
     records: list[MetricsRecord] = []
     for b, (xb, yb) in enumerate(build_test_stream(config)):
@@ -408,7 +396,7 @@ MASK_NAMES = {
 
 
 SWEEP_KEYS = ("severity", "stream_order", "loss_masks", "strategy", "lam_col", "tau_steps",
-              "tau_step_size", "seed", "pretrain_epochs", "n_per_class")
+              "seed", "pretrain_epochs", "n_per_class")
 
 
 def point_config(base: RunConfig, point: dict, index: int) -> RunConfig:
@@ -416,7 +404,8 @@ def point_config(base: RunConfig, point: dict, index: int) -> RunConfig:
 
     The point is read as base's document with the overrides put in, so each
     value goes through its field's reader; a loss_masks value may also name
-    an entry of MASK_NAMES. Unless the point sets the seed, it gets
+    an entry of MASK_NAMES, and a pretrain_epochs value sets every model
+    entry's budget. Unless the point sets the seed, it gets
     mix64(base.seed, 1000 + index). The overrides apply together, so only
     the whole point is validated.
     """
@@ -430,15 +419,15 @@ def point_config(base: RunConfig, point: dict, index: int) -> RunConfig:
                 raise ValueError(f"{path}.{key}: unknown mask name {value!r}; "
                                  f"expected one of {list(MASK_NAMES)}")
             value = MASK_NAMES[value].to_dict()
-        if key == "pretrain_epochs" and all(e.pretrain_epochs is not None for e in base.models):
-            raise ValueError(f"{path}.{key}: every model entry sets its own pretrain_epochs, "
-                             "so the run's budget changes nothing")
         if key == "severity":
             if doc["corruption"] is None:
                 raise ValueError(f"{path}: severity override requires a corruption spec")
             doc["corruption"]["severity"] = value
         elif key == "stream_order":
             doc["stream"]["order"] = value
+        elif key == "pretrain_epochs":
+            for entry in doc["models"]:
+                entry["pretrain_epochs"] = value
         else:
             doc[key] = value
     if "seed" not in point:
@@ -450,8 +439,9 @@ def sweep_points(grid: dict[str, list]) -> list[dict]:
     if not isinstance(grid, dict) or not grid:
         raise ValueError(f"sweep grid must be a non-empty object, got {grid!r}")
     for key, values in grid.items():
-        if not isinstance(values, list):
-            raise ValueError(f"<grid>.{key}: expected a list of values, got {values!r}")
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"<grid>.{key}: expected a non-empty list of values, "
+                             f"got {values!r}")
     keys = list(grid)
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 

@@ -194,8 +194,7 @@ def cross_entropy_mean(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def pretrain(model: ModelHandle, features: np.ndarray, labels: np.ndarray,
-             epochs: int, lr: float, seed: int, batch_size: int = 64,
-             momentum: float = 0.9) -> list[dict]:
+             epochs: int, lr: float, seed: int, batch_size: int = 64) -> list[dict]:
     """Full-parameter supervised training with shuffled minibatches.
 
     Returns a per-epoch log of mean loss and training accuracy.
@@ -212,7 +211,7 @@ def pretrain(model: ModelHandle, features: np.ndarray, labels: np.ndarray,
                          f"sample, and {n} sample(s) in batches of {batch_size} make "
                          f"only those")
     model.set_trainable(norm_only=False)
-    opt = SGD(model.all_params(), lr=lr, momentum=momentum)
+    opt = SGD(model.all_params(), lr=lr, momentum=0.9)
     rng = np.random.default_rng(seed)
     log = []
     for epoch in range(epochs):

@@ -48,7 +48,7 @@ def ref_config(seed, **overrides):
         corruption=CorruptionSpec(kind="gaussian_noise", severity=5),
         stream=StreamSpec(order="iid_shuffled", batch_size=64,
                           total_samples=3200),
-        pretrain_epochs=30, seed=seed)
+        seed=seed)
     base.update(overrides)
     return RunConfig(**base)
 
@@ -315,16 +315,17 @@ def _pipeline_config(path: Path) -> Path:
         "models": [
             {"spec": {"kind": "mlp", "input_shape": [8],
                       "hidden_sizes": [24, 24], "norm_kind": "layernorm",
-                      "num_classes": 4}, "lr": 1e-3},
+                      "num_classes": 4}, "lr": 1e-3, "pretrain_epochs": 6},
             {"spec": {"kind": "mlp", "input_shape": [8], "hidden_sizes": [12],
-                      "norm_kind": "batchnorm", "num_classes": 4}, "lr": 1e-2},
+                      "norm_kind": "batchnorm", "num_classes": 4}, "lr": 1e-2,
+             "pretrain_epochs": 6},
         ],
         "task": {"kind": "gaussian_mixture", "num_classes": 4, "dims": 8,
                  "center_separation": 5.0},
         "stream": {"order": "iid_shuffled", "batch_size": 32,
                    "total_samples": 192},
         "corruption": {"kind": "gaussian_noise", "severity": 3},
-        "n_per_class": 60, "pretrain_epochs": 6, "seed": 17,
+        "n_per_class": 60, "seed": 17,
     }
     p = path / "config.json"
     p.write_text(json.dumps(doc))

@@ -330,7 +330,7 @@ class TestFusedObjective:
         if scenario == "cascade":
             # the auxiliary is the inner pairing's ensemble, a non-leaf tensor
             inner = ensemble(leaves[1], leaves[2], float(rng.uniform(0.3, 3.0)))
-            p_s = co._ensemble_logits(leaves[1], leaves[2], inner)[0]
+            p_s = inner.p_e
         else:
             inner, p_s = None, leaves[1]
         ens = ensemble(leaves[0], p_s, tau)

@@ -9,7 +9,7 @@ import os
 import resource
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +24,23 @@ from coca_tta.models import ModelSpec, build_model, pretrain
 from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
 
 
-def small_config(strategy="coca", seed=0, **overrides):
+def small_config(strategy="coca", seed=0, pretrain_epochs=8, **overrides):
+    """A two-MLP config; ``pretrain_epochs`` is every default entry's budget."""
     task = SourceTask(kind="gaussian_mixture", num_classes=4, dims=8,
                       center_separation=5.0)
     models = [
         ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(8,),
                                   hidden_sizes=[24, 24], norm_kind="layernorm",
-                                  num_classes=4), lr=1e-3),
+                                  num_classes=4), lr=1e-3, pretrain_epochs=pretrain_epochs),
         ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(8,), hidden_sizes=[12],
-                                  norm_kind="batchnorm", num_classes=4), lr=1e-2),
+                                  norm_kind="batchnorm", num_classes=4), lr=1e-2,
+                   pretrain_epochs=pretrain_epochs),
     ]
     kwargs = dict(models=models, task=task,
                   stream=StreamSpec(order="iid_shuffled", batch_size=32,
                                     total_samples=256),
                   corruption=CorruptionSpec(kind="gaussian_noise", severity=3),
-                  strategy=strategy, n_per_class=60, pretrain_epochs=8, seed=seed)
+                  strategy=strategy, n_per_class=60, seed=seed)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
 
@@ -107,17 +109,16 @@ class TestRunConfig:
     def test_rejects_an_entry_budget_below_one(self, epochs):
         # an entry budget of 0 used to pretrain for the run's epoch count
         entry = small_config().models[0]
-        with pytest.raises(ValueError, match="pretrain_epochs must be >= 1 or None"):
+        with pytest.raises(ValueError, match="pretrain_epochs must be >= 1"):
             replace(entry, pretrain_epochs=epochs)
         doc = small_config().to_dict()
         doc["models"][1]["pretrain_epochs"] = epochs
         with pytest.raises(ValueError, match=r"<root>\.models\[1\]: pretrain_epochs"):
             RunConfig.from_dict(doc)
 
-    def test_an_entry_budget_overrides_the_runs(self):
+    def test_each_entry_pretrains_for_its_own_budget(self):
         cfg = small_config(pretrain_epochs=3)
         cfg.models[1] = replace(cfg.models[1], pretrain_epochs=1)
-        assert [cfg.epochs_of(i) for i in range(2)] == [3, 1]
         _, logs = harness.pretrain_models(cfg)
         assert [len(log) for log in logs] == [3, 1]
 
@@ -210,8 +211,9 @@ class TestPretrainCache:
         calls = self.count_pretrains(monkeypatch)
         cfg2 = small_config(pretrain_epochs=2)
         third = ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(8,), hidden_sizes=[6],
-                                          norm_kind="layernorm", num_classes=4), lr=5e-3)
-        cfg3 = small_config(pretrain_epochs=2, models=cfg2.models + [third])
+                                          norm_kind="layernorm", num_classes=4), lr=5e-3,
+                           pretrain_epochs=2)
+        cfg3 = small_config(models=cfg2.models + [third])
         pair = prepare_models(cfg2)
         assert len(calls) == 2
         added, _ = harness._pretrain_one(*harness._pretrain_job(cfg3, 2))
@@ -222,7 +224,7 @@ class TestPretrainCache:
         calls = self.count_pretrains(monkeypatch)
         cfg = small_config(pretrain_epochs=2)
         relr = [replace(e, lr=e.lr * 3) for e in cfg.models]
-        self.sweep_over(monkeypatch, [cfg, small_config(pretrain_epochs=2, models=relr)])
+        self.sweep_over(monkeypatch, [cfg, small_config(models=relr)])
         assert len(calls) == 2
 
     @pytest.mark.parametrize("override", [
@@ -244,8 +246,8 @@ class TestPretrainCache:
             cfg.models[1].spec, hidden_sizes=[10]))]
         swapped = cfg.models[::-1]
         # the first set is still held for the last point, which reads it again
-        self.sweep_over(monkeypatch, [cfg] + [small_config(pretrain_epochs=2, models=m)
-                                              for m in (longer, narrower, swapped)] + [cfg])
+        points = [small_config(models=m) for m in (longer, narrower, swapped)]
+        self.sweep_over(monkeypatch, [cfg] + points + [cfg])
         assert len(calls) == 8
 
     def test_cache_hit_is_deterministic(self, monkeypatch):
@@ -293,6 +295,12 @@ class TestBenchmarkContract:
 
         monkeypatch.setattr(harness, "prepare_models", counted)
         return spans
+
+    def test_config_fields_the_benchmark_sets(self):
+        # the keywords that perfbench/workloads.py builds its configs with
+        assert {"spec", "lr", "pretrain_epochs"} <= {f.name for f in fields(ModelEntry)}
+        assert {"models", "task", "strategy", "corruption", "stream", "n_per_class",
+                "collapse_threshold", "seed"} <= {f.name for f in fields(RunConfig)}
 
     def test_run_and_pretraining_take_only_the_config(self):
         # the set-up times prepare_models(config); adapt runs pass clones
@@ -373,16 +381,16 @@ class TestBenchmarkContract:
         assert spans == [2]
 
 
-def conv_config(**overrides):
+def conv_config(pretrain_epochs=2, **overrides):
     """Three batchnorm convnets of different widths on 6x6 images."""
     task = SourceTask(kind="procedural_images", num_classes=4, image_shape=(1, 6, 6),
                       center_separation=9.0)
     entries = [ModelEntry(spec=ModelSpec(kind="convnet", input_shape=(1, 6, 6),
                                          hidden_sizes=ch, norm_kind="batchnorm",
-                                         num_classes=4), lr=0.05)
+                                         num_classes=4), lr=0.05,
+                          pretrain_epochs=pretrain_epochs)
                for ch in ([6, 8], [4, 4], [2, 3])]
-    kwargs = dict(models=entries, task=task, strategy="coca", n_per_class=12,
-                  pretrain_epochs=2, seed=3)
+    kwargs = dict(models=entries, task=task, strategy="coca", n_per_class=12, seed=3)
     kwargs.update(overrides)
     return RunConfig(**kwargs)
 
@@ -404,9 +412,8 @@ def second_pretrain_faults() -> int:
                       center_separation=9.0)
     entry = ModelEntry(spec=ModelSpec(kind="convnet", input_shape=(1, 8, 8),
                                       hidden_sizes=[8, 16], norm_kind="batchnorm",
-                                      num_classes=10), lr=0.05)
-    cfg = RunConfig(models=[entry], task=task, strategy="tent", n_per_class=13,
-                    pretrain_epochs=3)
+                                      num_classes=10), lr=0.05, pretrain_epochs=3)
+    cfg = RunConfig(models=[entry], task=task, strategy="tent", n_per_class=13)
     job = harness._pretrain_job(cfg, 0)
     harness._pretrain_one(*job)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -510,11 +517,11 @@ class TestProcessPool:
         # 64x128 by 128x128 products lie above OpenBLAS's threading threshold
         anchor = ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(32,),
                                            hidden_sizes=[128, 128, 128],
-                                           norm_kind="layernorm", num_classes=16), lr=1e-3)
+                                           norm_kind="layernorm", num_classes=16), lr=1e-3,
+                           pretrain_epochs=3)
         task = SourceTask(kind="gaussian_mixture", num_classes=16, dims=32,
                           center_separation=4.5)
-        cfg = RunConfig(models=[anchor], task=task, strategy="tent", n_per_class=20,
-                        pretrain_epochs=3, seed=5)
+        cfg = RunConfig(models=[anchor], task=task, strategy="tent", n_per_class=20, seed=5)
         blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in blas_vars}
         # the fresh interpreter imports the package under test, not another copy
@@ -644,14 +651,14 @@ class TestSweeps:
         with pytest.raises(ValueError, match="identically 0"):
             harness.point_config(base, {"loss_masks": "mar"}, 0)
 
-    def test_point_config_rejects_a_budget_that_no_entry_reads(self):
-        # each entry's own budget wins, so the points would pretrain alike
+    def test_a_budget_point_sets_every_entry(self):
+        # entries that set their own budget take the point's too; a budget
+        # sweep over such a base used to pretrain every point alike
         base = small_config(models=[replace(e, pretrain_epochs=n)
                                     for e, n in zip(small_config().models, (45, 18))])
-        with pytest.raises(ValueError, match=r"<point 1>\.pretrain_epochs: every model entry"):
-            point_config(base, {"pretrain_epochs": 90}, 1)
-        partial = replace(base, models=[base.models[0], small_config().models[1]])
-        assert point_config(partial, {"pretrain_epochs": 90}, 1).epochs_of(1) == 90
+        cfg = point_config(base, {"pretrain_epochs": 3}, 1)
+        epochs = list(inspect.signature(harness._pretrain_one).parameters).index("epochs")
+        assert [harness._pretrain_job(cfg, i)[epochs] for i in range(2)] == [3, 3]
 
     def test_ablation_sweep_validates_every_point_first(self, monkeypatch):
         calls = []

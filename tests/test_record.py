@@ -125,6 +125,7 @@ REJECTED = [
     (("models", 0, "dropout"), 0.5, "<root>.models[0]: unknown keys ['dropout']"),
     (("models", 1, "lr"), "0.01", "<root>.models[1].lr: expected a number"),
     (("models", 0, "pretrain_epochs"), 2.5, "<root>.models[0].pretrain_epochs: expected an integer"),
+    (("models", 0, "pretrain_epochs"), None, "<root>.models[0].pretrain_epochs: expected an integer"),
     (("models", 0, "spec", "dropout"), 0.5, "<root>.models[0].spec: unknown keys ['dropout']"),
     (("models", 1, "spec", "num_classes"), 4.5, "<root>.models[1].spec.num_classes"),
     (("models", 0, "spec", "input_shape"), "8", "<root>.models[0].spec.input_shape: expected a list"),
