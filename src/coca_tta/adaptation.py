@@ -107,8 +107,10 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
     def evaluate(tau: float):
         """Scaled logits, their clipped exponential and the discrepancy at tau."""
         scaled = p_s / tau
-        es = np.exp(np.clip(scaled, -clamp, clamp))
-        return scaled, es, float(np.abs(ea - es).sum() / p_a.shape[0])
+        es = np.maximum(scaled, -clamp)  # then minimum: np.clip, NaN included
+        np.exp(np.minimum(es, clamp, out=es), out=es)
+        d = np.subtract(ea, es)
+        return scaled, es, float(np.abs(d, out=d).sum() / p_a.shape[0])
 
     trust = state.step_size / 1e-2  # default step_size gives a full-tau trust region
     tau = state.tau

@@ -400,15 +400,15 @@ def logsumexp(a) -> Tensor:
     return _record("logsumexp", (a,), out, bwd)
 
 
-def conv2d(x, w) -> Tensor:
+def conv2d(x, w, b=None) -> Tensor:
     """3x3 convolution, stride 1, zero padding preserving spatial size.
 
-    x: (B, Cin, H, W); w: (Cout, Cin, 3, 3). The work is done channel-last
-    by :func:`_conv3x3`; the input gradient is the same kernel applied to the
-    output gradient with the spatially flipped, channel-swapped kernel. The
-    output and the input gradient are copied back to C-contiguous NCHW, so
-    the elementwise ops after a convolution run over contiguous memory.
-    Gradients of inputs that do not require one are not computed.
+    x: (B, Cin, H, W); w: (Cout, Cin, 3, 3); b: optional (Cout,) bias. Runs
+    channel-last in :func:`_conv3x3`; the input gradient is the same kernel
+    applied to the output gradient with the spatially flipped, channel-swapped
+    kernel. Output and input gradient are copied back to C-contiguous NCHW for
+    the ops that follow, the bias added in that copy. Gradients of inputs that
+    do not require one are not computed.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -418,8 +418,14 @@ def conv2d(x, w) -> Tensor:
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: channel mismatch between input {x.shape} and kernel {w.shape}")
     cout, cin = w.shape[:2]
+    b = None if b is None else _as_tensor(b)
+    if b is not None and b.shape != (cout,):
+        raise ShapeError(f"conv2d: bias shape {b.shape} does not match {cout} outputs")
     out, cols = _conv3x3(x.data.transpose(0, 2, 3, 1),
                          w.data.transpose(0, 2, 3, 1).reshape(cout, -1))
+    nchw = out.transpose(0, 3, 1, 2)
+    out = (np.ascontiguousarray(nchw) if b is None else
+           np.add(nchw, b.data.reshape(1, -1, 1, 1), out=np.empty(nchw.shape)))
     if not w.requires_grad:
         cols = None
 
@@ -432,9 +438,10 @@ def conv2d(x, w) -> Tensor:
         if w.requires_grad:
             gw = np.tensordot(gn, cols, axes=([0, 1, 2], [0, 1, 2]))   # (Cout, 9*Cin)
             gw = gw.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
-        return gx, gw
+        gb = g.sum(axis=(0, 2, 3)) if b is not None and b.requires_grad else None
+        return gx, gw, gb
 
-    return _record("conv2d", (x, w), np.ascontiguousarray(out.transpose(0, 3, 1, 2)), bwd)
+    return _record("conv2d", (x, w) if b is None else (x, w, b), out, bwd)
 
 
 def _conv3x3(xn: np.ndarray, wmat: np.ndarray):
@@ -442,14 +449,14 @@ def _conv3x3(xn: np.ndarray, wmat: np.ndarray):
 
     xn: (B, H, W, C), any strides; wmat: (Cout, 9*C) with columns ordered
     (kh, kw, C). Returns the (B, H, W, Cout) output and the (B, H, W, 9*C)
-    columns. Channels are innermost in the columns, so the window copy moves
-    contiguous runs.
+    columns. Each window row, 3 pixels of C channels, is copied as one run.
     """
     b, h, wd, c = xn.shape
     xp = np.zeros((b, h + 2, wd + 2, c))
     xp[:, 1:-1, 1:-1] = xn
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, wd, 9 * c)
+    sb, sh, sw, sc = xp.strides
+    rows = np.lib.stride_tricks.as_strided(xp, (b, h, wd, 3, 3 * c), (sb, sh, sw, sh, sc))
+    cols = rows.reshape(b, h, wd, 9 * c)
     out = cols.reshape(-1, 9 * c) @ wmat.T
     return out.reshape(b, h, wd, -1), cols
 
@@ -491,22 +498,29 @@ def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor,
     feat_axis %= x.data.ndim
     others = tuple(i for i in range(x.data.ndim) if i != feat_axis)
     sc = scale.data.reshape([nfeat if i == feat_axis else 1 for i in range(x.data.ndim)])
-    # one centering pass; var = mean(xc * xc) is what np.var computes
-    xc = x.data - x.data.mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + _EPS_NORM)
-    xhat = xc * inv
-    out = xhat * sc + shift.data.reshape(sc.shape)
     n = math.prod(x.shape[a] for a in axes)
+    # in place; add.reduce / n is what ndarray.mean and np.var compute
+    xc = x.data - np.add.reduce(x.data, axis=axes, keepdims=True) / n
+    sq = xc * xc
+    inv = 1.0 / np.sqrt(np.add.reduce(sq, axis=axes, keepdims=True) / n + _EPS_NORM)
+    xhat = np.multiply(xc, inv, out=sq)
+    out = np.multiply(xhat, sc, out=xc)
+    out += shift.data.reshape(sc.shape)
 
     def bwd(g):
-        gs = (g * xhat).sum(axis=others).reshape(scale.shape) if scale.requires_grad else None
+        t = g * xhat
+        gs = t.sum(axis=others).reshape(scale.shape) if scale.requires_grad else None
         gb = g.sum(axis=others).reshape(shift.shape) if shift.requires_grad else None
         gx = None
         if x.requires_grad:
-            gxhat = g * sc
-            gx = (inv / n) * (n * gxhat
-                              - gxhat.sum(axis=axes, keepdims=True)
-                              - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
+            # (inv / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
+            gx = g * sc
+            s2 = np.multiply(gx, xhat, out=t).sum(axis=axes, keepdims=True)
+            s1 = gx.sum(axis=axes, keepdims=True)
+            gx *= n
+            gx -= s1
+            gx -= np.multiply(xhat, s2, out=t)
+            gx *= inv / n
         return gx, gs, gb
 
     return _record(op, (x, scale, shift), out, bwd)

@@ -159,8 +159,7 @@ def forward_logits(model: ModelHandle, batch: Tensor) -> Tensor:
         return ad.linear(x, p["head.weight"], p["head.bias"])
 
     for i in range(len(spec.hidden_sizes)):
-        x = ad.conv2d(x, p[f"block{i}.weight"])
-        x = ad.add(x, ad.reshape(p[f"block{i}.bias"], (1, -1, 1, 1)))
+        x = ad.conv2d(x, p[f"block{i}.weight"], p[f"block{i}.bias"])
         x = ad.batchnorm(x, p[f"block{i}.norm_scale"], p[f"block{i}.norm_shift"])
         x = ad.relu(x)
     b = x.shape[0]

@@ -142,7 +142,7 @@ class TestLearnTau:
         tau = state.tau
         for _ in range(state.steps):
             g = grad(tau)
-            if g == 0.0:
+            if g == 0.0 or not np.isfinite(g):
                 continue
             direction = -np.sign(g)
             delta = (state.step_size / 1e-2) * (tau if direction > 0 else 0.5 * tau)
@@ -171,6 +171,33 @@ class TestLearnTau:
             for _ in range(2):
                 expect = self.reference_learn_tau(state, p_a, p_s)
                 assert learn_tau(state, p_a, p_s).tau == expect
+
+    # -1e308 / tau overflows to -inf for tau < 1 and keeps the gradient
+    # finite, so the line search clips infinite scaled logits; NaN, +-inf and
+    # 1e308 (es * p_s overflows) make the gradient NaN, so every iteration is
+    # skipped, as in the reference
+    SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 1e308, -1e308]
+
+    @pytest.mark.parametrize("special", SPECIALS, ids=str)
+    def test_special_logits_match_reference_line_search(self, special):
+        rng = np.random.default_rng(12)
+        for i in range(60):
+            n, c = rng.integers(1, 20), rng.integers(2, 8)
+            p_a = rng.standard_normal((n, c)) * rng.uniform(0.1, 8)
+            p_s = p_a * rng.uniform(-3, 5) + rng.standard_normal((n, c))
+            p_s.reshape(-1)[rng.choice(n * c, size=rng.integers(1, n * c + 1),
+                                       replace=False)] = special
+            state = TauState(tau=float(rng.uniform(0.05, 3)), steps=int(rng.integers(1, 8)),
+                             logit_clamp=float(rng.choice([20.0, 3.0])))
+            expect = self.reference_learn_tau(state, p_a, p_s)
+            assert learn_tau(state, p_a, p_s).tau == expect
+
+    def test_maximum_then_minimum_is_clip(self):
+        # evaluate clips with np.maximum and np.minimum instead of np.clip
+        a = np.array(self.SPECIALS + [-np.nan, 5e-324, -5e-324, 3.0, -3.0, 2.5, -25.0])
+        for clamp in (20.0, 3.0):
+            got = np.minimum(np.maximum(a, -clamp), clamp)
+            assert got.tobytes() == np.clip(a, -clamp, clamp).tobytes()
 
 
 class TestEnsemble:
@@ -661,6 +688,18 @@ class TestCascade:
             m.set_trainable(norm_only=True)
         return out
 
+    @staticmethod
+    def nodes_at_backward(monkeypatch) -> list:
+        """Wrap ad.backward; the list gets the tape length at each call."""
+        seen, real_backward = [], ad.backward
+
+        def counting_backward(loss):
+            seen.append(len(ad.active_tape()))
+            real_backward(loss)
+
+        monkeypatch.setattr(ad, "backward", counting_backward)
+        return seen
+
     def test_rejects_zero_models(self):
         with pytest.raises(ValueError, match=">= 1 model"):
             multi_model_step([], [], np.zeros((4, 6)), [])
@@ -684,17 +723,26 @@ class TestCascade:
             for m in ms:
                 forward_logits(m, Tensor(batch))
             forward_nodes = len(tape)
-        seen = []
-        real_backward = ad.backward
-
-        def counting_backward(loss):
-            seen.append(len(ad.active_tape()))
-            real_backward(loss)
-
-        monkeypatch.setattr(ad, "backward", counting_backward)
+        seen = self.nodes_at_backward(monkeypatch)
         opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
         multi_model_step(ms, [TauState(), TauState()], batch, opts)
         assert seen == [forward_nodes + 4]
+
+    def test_three_convnets_record_seven_forward_nodes_each(self, monkeypatch):
+        # per model: block0's conv2d sees no trainable input, so it records
+        # batchnorm and relu; block1 records conv2d with its bias inside,
+        # batchnorm and relu; then reshape and linear. Plus the 4 objective nodes
+        specs = [ModelSpec(kind="convnet", input_shape=(1, 6, 6), hidden_sizes=ch,
+                           norm_kind="batchnorm", num_classes=4)
+                 for ch in ([6, 8], [4, 4], [2, 3])]
+        ms = [build_model(s, seed=i) for i, s in enumerate(specs)]
+        for m in ms:
+            m.set_trainable(norm_only=True)
+        seen = self.nodes_at_backward(monkeypatch)
+        batch = np.random.default_rng(34).standard_normal((16, 1, 6, 6))
+        opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
+        multi_model_step(ms, [TauState(), TauState()], batch, opts)
+        assert seen == [3 * 7 + 4]
 
     def test_tau_state_count_checked(self):
         ms = self.models3()

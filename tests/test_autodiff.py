@@ -144,23 +144,26 @@ class TestReductionsAndShapes:
     def test_conv2d(self):
         check_op(ad.conv2d, [(2, 3, 5, 5), (4, 3, 3, 3)], n_cases=20)
 
+    def test_conv2d_with_bias(self):
+        check_op(ad.conv2d, [(2, 3, 5, 5), (4, 3, 3, 3), (4,)], n_cases=20)
 
-def conv_reference(x, w, g):
-    """Direct nested-loop 3x3 same convolution with its gradients for output grad g."""
-    b, _, h, wd = x.shape
+
+def conv_reference(x, w, b, g):
+    """Direct nested-loop 3x3 same convolution plus bias, with its gradients for output grad g."""
+    bsz, _, h, wd = x.shape
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.zeros((b, w.shape[0], h, wd))
+    out = np.zeros((bsz, w.shape[0], h, wd))
     gxp = np.zeros_like(xp)
     gw = np.zeros_like(w)
-    for n in range(b):
+    for n in range(bsz):
         for co in range(w.shape[0]):
             for i in range(h):
                 for j in range(wd):
                     patch = xp[n, :, i:i + 3, j:j + 3]
-                    out[n, co, i, j] = (patch * w[co]).sum()
+                    out[n, co, i, j] = (patch * w[co]).sum() + b[co]
                     gxp[n, :, i:i + 3, j:j + 3] += g[n, co, i, j] * w[co]
                     gw[co] += g[n, co, i, j] * patch
-    return out, gxp[:, :, 1:-1, 1:-1], gw
+    return out, gxp[:, :, 1:-1, 1:-1], gw, g.sum((0, 2, 3))
 
 
 def grads_with_frozen(op, arrays, frozen=(), seed=0):
@@ -186,15 +189,17 @@ class TestConv2d:
         rng = np.random.default_rng(cin * 100 + cout)
         xa = rng.standard_normal((b, cin, h, w))
         wa = rng.standard_normal((cout, cin, 3, 3))
+        ba = rng.standard_normal(cout)
         ga = rng.standard_normal((b, cout, h, w))
-        x, k = Tensor(xa, requires_grad=True), Tensor(wa, requires_grad=True)
+        x, k, bias = (Tensor(a, requires_grad=True) for a in (xa, wa, ba))
         with Tape():
-            out = ad.conv2d(x, k)
+            out = ad.conv2d(x, k, bias)
             ad.backward(ad.tensor_sum(ad.mul(out, Tensor(ga))))
-        ref_out, ref_gx, ref_gw = conv_reference(xa, wa, ga)
+        ref_out, ref_gx, ref_gw, ref_gb = conv_reference(xa, wa, ba, ga)
         assert_rel_close(out.data, ref_out)
         assert_rel_close(x.grad, ref_gx)
         assert_rel_close(k.grad, ref_gw)
+        assert_rel_close(bias.grad, ref_gb)
 
     @pytest.mark.parametrize("frozen", [0, 1], ids=["x-frozen", "w-frozen"])
     def test_frozen_input_gets_no_grad(self, frozen):
@@ -204,6 +209,42 @@ class TestConv2d:
         part = grads_with_frozen(ad.conv2d, arrays, frozen=(frozen,))
         assert part[frozen] is None
         assert np.array_equal(part[1 - frozen], full[1 - frozen])
+
+    @pytest.mark.parametrize("frozen", [(), (0,), (1,), (2,)],
+                             ids=["all-trainable", "x-frozen", "w-frozen", "b-frozen"])
+    def test_bias_is_bit_identical_to_add_of_reshaped_bias(self, frozen):
+        # the bias is added while the output is copied back to NCHW; its
+        # gradient is the reduction that add followed by reshape does
+        def composed(x, w, b):
+            return ad.add(ad.conv2d(x, w), ad.reshape(b, (1, -1, 1, 1)))
+
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal((3, 4, 5, 6)), rng.standard_normal((7, 4, 3, 3)),
+                  rng.standard_normal(7)]
+        outs = [ad.conv2d(*map(Tensor, arrays)).data, composed(*map(Tensor, arrays)).data]
+        assert np.array_equal(outs[0], outs[1])
+        assert outs[0].flags.c_contiguous
+        fused = grads_with_frozen(ad.conv2d, arrays, frozen=frozen)
+        ref = grads_with_frozen(composed, arrays, frozen=frozen)
+        for i in range(3):
+            if i in frozen:
+                assert fused[i] is None
+            else:
+                assert np.array_equal(fused[i], ref[i]), i
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 4, 1, 1), (4, 1), ()])
+    def test_wrong_bias_shape_raises(self, shape):
+        x, w = np.zeros((2, 3, 4, 4)), np.zeros((4, 3, 3, 3))
+        with pytest.raises(ShapeError, match="bias shape"):
+            ad.conv2d(x, w, np.zeros(shape))
+
+    def test_bias_node_has_three_inputs_and_none_without_bias(self):
+        x = Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
+        w, b = Tensor(np.ones((4, 3, 3, 3))), Tensor(np.ones(4))
+        with Tape() as tape:
+            ad.conv2d(x, w)
+            ad.conv2d(x, w, b)
+            assert [node.inputs for node in tape._nodes] == [(x, w), (x, w, b)]
 
 
 class TestFrozenInputsGetNoGrad:
@@ -239,6 +280,33 @@ def var_formula_norm(x, scale, shift, axes, ash):
     var = x.var(axis=axes, keepdims=True)
     xhat = (x - mu) * (1.0 / np.sqrt(var + ad._EPS_NORM))
     return xhat * scale.reshape(ash) + shift.reshape(ash)
+
+
+def out_of_place_norm_grads(x, sc, g, axes):
+    """Gradients of the normalization kernel as first written, every temporary fresh."""
+    others = tuple(i for i in range(x.ndim) if sc.shape[i] == 1)
+    xc = x - x.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axes, keepdims=True) + ad._EPS_NORM)
+    xhat = xc * inv
+    n = int(np.prod([x.shape[a] for a in np.atleast_1d(axes)]))
+    gs = (g * xhat).sum(axis=others)
+    gb = g.sum(axis=others)
+    gxhat = g * sc
+    gx = (inv / n) * (n * gxhat
+                      - gxhat.sum(axis=axes, keepdims=True)
+                      - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True))
+    return gx, gs, gb
+
+
+NORM_CASES = [
+    (ad.batchnorm, (8, 5), (0,), (1, 5), None),
+    (ad.batchnorm, (4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), None),
+    (ad.batchnorm, (4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), (0, 3, 1, 2)),
+    (ad.layernorm, (6, 5), (-1,), (1, 5), None),
+    (ad.layernorm, (2, 3, 7), (-1,), (1, 1, 7), None),
+]
+NORM_IDS = ["batchnorm-2d", "batchnorm-4d", "batchnorm-4d-channel-last-memory",
+            "layernorm-2d", "layernorm-3d"]
 
 
 class TestConvBlockKernels:
@@ -291,6 +359,22 @@ class TestConvBlockKernels:
             ad.backward(ad.tensor_sum(out))
         assert out.data.flags.c_contiguous
         assert x.grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("op,shape,axes,ash,layout", NORM_CASES, ids=NORM_IDS)
+    def test_norm_grads_byte_equal_to_out_of_place_formula(self, op, shape, axes, ash, layout):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(shape) * 3.0 + 1.5
+        if layout is not None:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(layout)
+        scale, shift = rng.standard_normal((2, max(ash)))
+        g = rng.standard_normal(shape)
+        tensors = [Tensor(a, requires_grad=True) for a in (x, scale, shift)]
+        with Tape():
+            out = op(*tensors)
+            ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+        ref = out_of_place_norm_grads(x, scale.reshape(ash), g, axes)
+        for got, want in zip([t.grad for t in tensors], ref):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCocaObjectiveGrads:

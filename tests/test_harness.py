@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from coca_tta import adaptation, cli, harness
+from coca_tta import autodiff as ad
 from coca_tta.adaptation import LossBreakdown, LossMasks
 from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
                               RunConfig, evaluate_accuracy, mix64,
@@ -301,6 +302,15 @@ class TestBenchmarkContract:
         assert {"spec", "lr", "pretrain_epochs"} <= {f.name for f in fields(ModelEntry)}
         assert {"models", "task", "strategy", "corruption", "stream", "n_per_class",
                 "collapse_threshold", "seed"} <= {f.name for f in fields(RunConfig)}
+
+    def test_autodiff_ops_the_tracer_wraps(self):
+        # perfbench/tracer.py wraps these by name; a renamed op would zero
+        # its counters, and A1 calls conv2d with input and kernel only
+        for op in ("matmul", "conv2d", "layernorm", "batchnorm", "logsumexp",
+                   "softmax", "add", "mul"):
+            assert callable(getattr(ad, op, None)), op
+        out = ad.conv2d(np.ones((2, 3, 4, 4)), np.ones((5, 3, 3, 3)))
+        assert out.shape == (2, 5, 4, 4)
 
     def test_run_and_pretraining_take_only_the_config(self):
         # the set-up times prepare_models(config); adapt runs pass clones

@@ -279,6 +279,18 @@ class TestPretrain:
             results.append((json.dumps(log), [p.data.tobytes() for p in model.all_params()]))
         assert results[0] == results[1]
 
+    def test_convnet_step_records_nine_nodes(self):
+        # per block conv2d with its bias inside, batchnorm and relu; then
+        # reshape, linear and cross_entropy
+        spec = ModelSpec(kind="convnet", input_shape=(1, 6, 6), hidden_sizes=[3, 4],
+                         norm_kind="batchnorm", num_classes=4)
+        model = build_model(spec, seed=0)
+        model.set_trainable(norm_only=False)
+        x = np.random.default_rng(0).standard_normal((5, 1, 6, 6))
+        with Tape() as tape:
+            cross_entropy_mean(forward_logits(model, Tensor(x)), np.arange(5) % 4)
+            assert len(tape) == 9
+
     def test_rejects_empty_dataset(self):
         model = build_model(small_spec(), seed=0)
         with pytest.raises(ValueError):
