@@ -5,7 +5,7 @@ from .adaptation import (CascadeOutput, EnsembleOutput, LossBreakdown, LossMasks
                          marginal_entropy, multi_model_step, self_adapt_loss)
 from .autodiff import SGD, Tape, Tensor, backward
 from .harness import (ModelEntry, MetricsRecord, RunConfig, RunReport,
-                      ablation_sweep, evaluate_accuracy, mix64, run)
+                      evaluate_accuracy, mix64, run)
 from .models import (ModelHandle, ModelSpec, anchor_select, build_model,
                      forward_logits, load_checkpoint, pretrain, save_checkpoint)
 from .shiftgen import (CorruptionSpec, SourceTask, StreamSpec, apply_corruption,

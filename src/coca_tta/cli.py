@@ -48,6 +48,13 @@ def _out_dir(arg) -> Path:
     return Path(os.environ.get("COCA_OUT_DIR", "."))
 
 
+def _write_run(report, out: Path) -> None:
+    """A run's outputs: report.json and metrics.csv in ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(report.to_json())
+    (out / "metrics.csv").write_text(report.metrics_csv())
+
+
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, args.seed)
     out = _out_dir(args.out)
@@ -74,30 +81,24 @@ def cmd_adapt(args) -> int:
                 raise FileNotFoundError(f"missing checkpoint: {path}")
             loaded.append(models.load_checkpoint(str(path)))
     t0 = time.perf_counter()
-    report = run(cfg, models=loaded)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(report.to_json())
-    (out / "metrics.csv").write_text(report.metrics_csv())
+    _write_run(run(cfg, models=loaded), out)
     (out / "timing.txt").write_text(f"{time.perf_counter() - t0:.3f}\n")
     print(f"wrote report.json and metrics.csv to {out}")
     return 0
 
 
-def _sweep_one(cfg_dict: dict, point: dict, index: int, out_dir: str) -> dict:
+_SUMMARY_COLUMNS = ("acc_anchor", "acc_aux", "acc_combined", "tau_final")
+
+
+def _sweep_one(cfg_dict: dict, point: dict, index: int, out_dir: str) -> str:
+    """Run sweep point ``index`` into run_XXX/; return its summary.csv line."""
     cfg = harness.point_config(RunConfig.from_dict(cfg_dict), point, index)
     report = run(cfg)
-    sub = Path(out_dir) / f"run_{index:03d}"
-    sub.mkdir(parents=True, exist_ok=True)
-    (sub / "report.json").write_text(report.to_json())
-    (sub / "metrics.csv").write_text(report.metrics_csv())
-    return {
-        "run": f"run_{index:03d}",
-        "point": json.dumps(point, sort_keys=True),
-        "acc_anchor": report.acc_anchor,
-        "acc_aux": report.acc_aux,
-        "acc_combined": report.acc_combined,
-        "tau_final": report.tau_final,
-    }
+    name = f"run_{index:03d}"
+    _write_run(report, Path(out_dir) / name)
+    quoted = '"' + json.dumps(point, sort_keys=True).replace('"', '""') + '"'
+    return ",".join([name, quoted] + [harness.fmt_number(getattr(report, c))
+                                      for c in _SUMMARY_COLUMNS])
 
 
 def cmd_sweep(args) -> int:
@@ -118,13 +119,9 @@ def cmd_sweep(args) -> int:
     # every point's seed comes from its index, so the worker count never
     # changes results
     jobs = [(cfg_dict, p, i, str(out)) for i, p in enumerate(points)]
-    rows = harness.parallel_map(_sweep_one, jobs, args.parallel)
-    columns = ("acc_anchor", "acc_aux", "acc_combined", "tau_final")
-    lines = ["run,point," + ",".join(columns)]
-    for r in rows:
-        lines.append(",".join([r["run"], '"' + r["point"].replace('"', '""') + '"']
-                              + [harness.fmt_number(r[c]) for c in columns]))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    lines = harness.parallel_map(_sweep_one, jobs, args.parallel)
+    header = "run,point," + ",".join(_SUMMARY_COLUMNS)
+    (out / "summary.csv").write_text("\n".join([header] + lines) + "\n")
     print(f"wrote {len(points)} run(s) and summary.csv to {out}")
     return 0
 

@@ -445,23 +445,3 @@ def sweep_points(grid: dict[str, list]) -> list[dict]:
     keys = list(grid)
     return [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
-
-def ablation_sweep(base: RunConfig, grid: dict[str, list]) -> list[tuple[dict, RunReport]]:
-    """Cartesian-product sweep; a point without a seed gets a derived one.
-
-    Every point's config is validated before the first run starts. Points
-    whose _pretrain_job lists are equal share one pretraining: each adapts
-    clones of it, and it is released after the last point that reads it.
-    """
-    points = sweep_points(grid)
-    configs = [point_config(base, p, i) for i, p in enumerate(points)]
-    keys = [repr([_pretrain_job(cfg, i) for i in range(len(cfg.models))]) for cfg in configs]
-    last = {key: i for i, key in enumerate(keys)}
-    shared: dict[str, list[ModelHandle]] = {}
-    results = []
-    for i, (point, cfg, key) in enumerate(zip(points, configs, keys)):
-        if key not in shared:
-            shared[key] = prepare_models(cfg)
-        pretrained = shared[key] if last[key] > i else shared.pop(key)
-        results.append((point, run(cfg, [m.clone() for m in pretrained])))
-    return results

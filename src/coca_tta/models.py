@@ -85,13 +85,9 @@ class ModelHandle:
             p.grad = None
 
     def clone(self) -> "ModelHandle":
-        params = {n: _clone_param(p) for n, p in self.params.items()}
+        params = {n: Tensor(p.data.copy(), requires_grad=p.requires_grad)
+                  for n, p in self.params.items()}
         return ModelHandle(self.spec, params, list(self.norm_param_names), self.seed)
-
-
-def _clone_param(p: Tensor) -> Tensor:
-    q = Tensor(p.data.copy(), requires_grad=p.requires_grad)
-    return q
 
 
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -140,13 +140,12 @@ def _rotate_planes(flat: np.ndarray, degrees: float, rng: np.random.Generator) -
     d = flat.shape[1]
     theta = np.deg2rad(degrees)
     perm = rng.permutation(d)
+    i, j = perm[0:d - d % 2:2], perm[1:d - d % 2:2]   # disjoint planes (i[k], j[k])
     out = flat.copy()
     cos, sin = np.cos(theta), np.sin(theta)
-    for k in range(d // 2):
-        i, j = perm[2 * k], perm[2 * k + 1]
-        xi, xj = out[:, i].copy(), out[:, j].copy()
-        out[:, i] = cos * xi - sin * xj
-        out[:, j] = sin * xi + cos * xj
+    xi, xj = flat[:, i], flat[:, j]
+    out[:, i] = cos * xi - sin * xj
+    out[:, j] = sin * xi + cos * xj
     return out
 
 

@@ -311,7 +311,7 @@ class TestSweep:
         assert (out / "run_000" / "report.json").exists()
         assert (out / "run_001" / "metrics.csv").exists()
 
-    def test_summary_matches_ablation_sweep(self, tmp_path):
+    def test_each_run_equals_a_lone_run(self, tmp_path):
         cfg_path = write_config(tmp_path)
         grid = {"lam_col": [0.5, 1.0], "stream_order": ["iid_shuffled", "label_sorted"]}
         (tmp_path / "grid.json").write_text(json.dumps(grid))
@@ -321,10 +321,14 @@ class TestSweep:
         with open(out / "summary.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         cfg = validate_config(json.loads(cfg_path.read_text()))
-        expected = harness.ablation_sweep(cfg, grid)
-        assert [json.loads(r["point"]) for r in rows] == [p for p, _ in expected]
-        assert [r["acc_combined"] for r in rows] == [
-            format(rep.acc_combined, ".12g") for _, rep in expected]
+        points = harness.sweep_points(grid)
+        assert [json.loads(r["point"]) for r in rows] == points
+        for i, (point, row) in enumerate(zip(points, rows)):
+            lone = harness.run(harness.point_config(cfg, point, i))
+            sub = out / f"run_{i:03d}"
+            assert (sub / "report.json").read_bytes() == lone.to_json().encode()
+            assert (sub / "metrics.csv").read_bytes() == lone.metrics_csv().encode()
+            assert row["acc_combined"] == harness.fmt_number(lone.acc_combined)
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path)

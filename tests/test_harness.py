@@ -169,7 +169,8 @@ class TestEvaluateAccuracy:
 
 
 class TestPretrainCache:
-    """ablation_sweep's store of shared pretrainings, keyed by the points' job lists."""
+    """What pretraining reads. A caller shares a pretraining between configs
+    whose _pretrain_job lists are equal, so a job holds everything it reads."""
 
     @staticmethod
     def count_pretrains(monkeypatch) -> list:
@@ -188,23 +189,8 @@ class TestPretrainCache:
         return [[p.data.tobytes() for p in m.all_params()] for m in models]
 
     @staticmethod
-    def sweep_over(monkeypatch, configs) -> list:
-        """ablation_sweep whose point i has config ``configs[i]``.
-
-        A grid reaches only the sweep keys; this also varies what no key does.
-        """
-        monkeypatch.setattr(harness, "point_config", lambda base, point, i: configs[i])
-        return harness.ablation_sweep(configs[0], {"point": list(range(len(configs)))})
-
-    def test_equal_jobs_pretrain_once(self, monkeypatch):
-        calls = self.count_pretrains(monkeypatch)
-        base = small_config(pretrain_epochs=2)
-        out = harness.ablation_sweep(base, {"tau_steps": [0, 1, 5], "lam_col": [0.5, 1.0],
-                                            "seed": [3]})
-        assert len(out) == 6 and len(calls) == 2
-        # points without a seed each get their own, and so their own pretraining
-        harness.ablation_sweep(base, {"tau_steps": [0, 1]})
-        assert len(calls) == 6
+    def jobs(cfg) -> list:
+        return [harness._pretrain_job(cfg, i) for i in range(len(cfg.models))]
 
     def test_added_model_pretrains_only_itself(self, monkeypatch):
         # a caller that adds a model to a pretrained pair pretrains only the
@@ -221,63 +207,36 @@ class TestPretrainCache:
         assert len(calls) == 3
         assert self.param_bytes(pair + [added]) == self.param_bytes(prepare_models(cfg3))
 
-    def test_adaptation_lr_is_not_part_of_the_key(self, monkeypatch):
-        calls = self.count_pretrains(monkeypatch)
+    def test_adaptation_lr_is_not_part_of_the_key(self):
         cfg = small_config(pretrain_epochs=2)
-        relr = [replace(e, lr=e.lr * 3) for e in cfg.models]
-        self.sweep_over(monkeypatch, [cfg, small_config(models=relr)])
-        assert len(calls) == 2
+        relr = small_config(models=[replace(e, lr=e.lr * 3) for e in cfg.models])
+        assert relr != cfg and self.jobs(relr) == self.jobs(cfg)
 
     @pytest.mark.parametrize("override", [
         {"seed": 1}, {"pretrain_epochs": 3}, {"n_per_class": 30},
         {"task": SourceTask(kind="gaussian_mixture", num_classes=4, dims=8,
                             center_separation=3.0)},
     ], ids=lambda o: next(iter(o)))
-    def test_pretraining_inputs_are_part_of_the_key(self, monkeypatch, override):
-        calls = self.count_pretrains(monkeypatch)
-        base = small_config(pretrain_epochs=2)
-        self.sweep_over(monkeypatch, [base, small_config(**{"pretrain_epochs": 2, **override})])
-        assert len(calls) == 4
+    def test_pretraining_inputs_are_part_of_the_key(self, override):
+        base = self.jobs(small_config(pretrain_epochs=2))
+        other = self.jobs(small_config(**{"pretrain_epochs": 2, **override}))
+        assert [a != b for a, b in zip(base, other)] == [True, True]
 
-    def test_entry_spec_epochs_and_index_are_part_of_the_key(self, monkeypatch):
-        calls = self.count_pretrains(monkeypatch)
+    def test_entry_spec_epochs_and_index_are_part_of_the_key(self):
         cfg = small_config(pretrain_epochs=2)
         longer = [replace(cfg.models[0], pretrain_epochs=3), cfg.models[1]]
         narrower = [cfg.models[0], replace(cfg.models[1], spec=replace(
             cfg.models[1].spec, hidden_sizes=[10]))]
-        swapped = cfg.models[::-1]
-        # the first set is still held for the last point, which reads it again
-        points = [small_config(models=m) for m in (longer, narrower, swapped)]
-        self.sweep_over(monkeypatch, [cfg] + points + [cfg])
-        assert len(calls) == 8
-
-    def test_cache_hit_is_deterministic(self, monkeypatch):
-        # a point that shares a pretraining starts from it, never from the
-        # parameters an earlier point adapted
-        before, after, real_run = [], [], harness.run
-
-        def recording(cfg, models=None):
-            before.append(self.param_bytes(models))
-            report = real_run(cfg, models)
-            after.append(self.param_bytes(models))
-            return report
-
-        monkeypatch.setattr(harness, "run", recording)
-        base = small_config(pretrain_epochs=2)
-        harness.ablation_sweep(base, {"tau_steps": [1, 5, 0], "seed": [base.seed]})
-        fresh = self.param_bytes(prepare_models(base))
-        assert before == [fresh] * 3
-        assert all(adapted != fresh for adapted in after)
-
-    def test_each_point_equals_a_lone_run(self):
-        # the two seeds' points alternate, so both sets are held at once
-        base = small_config(pretrain_epochs=2)
-        grid = {"strategy": ["coca", "tent", "source_only"], "seed": [3, 4]}
-        out = harness.ablation_sweep(base, grid)
-        for i, (point, report) in enumerate(out):
-            lone = run(point_config(base, point, i))
-            assert report.to_json() == lone.to_json()
-            assert report.metrics_csv() == lone.metrics_csv()
+        swapped = self.jobs(small_config(models=cfg.models[::-1]))
+        base = self.jobs(cfg)
+        # only the changed entry's job differs
+        assert [[a != b for a, b in zip(self.jobs(small_config(models=m)), base)]
+                for m in (longer, narrower)] == [[True, False], [False, True]]
+        # a moved entry's job differs from its old one in the index alone
+        index = list(inspect.signature(harness._pretrain_one).parameters).index("index")
+        for moved, old in zip(swapped[::-1], base):
+            assert moved != old
+            assert moved[:index] + moved[index + 1:] == old[:index] + old[index + 1:]
 
 
 class TestBenchmarkContract:
@@ -670,20 +629,6 @@ class TestSweeps:
         epochs = list(inspect.signature(harness._pretrain_one).parameters).index("epochs")
         assert [harness._pretrain_job(cfg, i)[epochs] for i in range(2)] == [3, 3]
 
-    def test_ablation_sweep_validates_every_point_first(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(harness, "run", lambda cfg: calls.append(cfg))
-        with pytest.raises(ValueError, match="identically 0"):
-            harness.ablation_sweep(small_config(), {"lam_col": [1.0, 0.0],
-                                                    "loss_masks": ["mar"]})
-        assert calls == []
-
     def test_mask_names_cover_all_seven(self):
         assert len(MASK_NAMES) == 7
         assert all(m.sa or m.mar or m.ckd for m in MASK_NAMES.values())
-
-    def test_ablation_sweep_runs_each_point(self):
-        out = harness.ablation_sweep(small_config(), {"tau_steps": [0, 5]})
-        assert len(out) == 2
-        assert out[0][0] == {"tau_steps": 0}
-        assert all(isinstance(r.acc_combined, float) for _, r in out)
