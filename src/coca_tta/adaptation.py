@@ -76,15 +76,18 @@ class LossBreakdown:
     kept_frac: float = 1.0
 
 
-def _tau_grad(ea: np.ndarray, p_s: np.ndarray, scaled: np.ndarray, es: np.ndarray,
-              tau: float, clamp: float) -> float:
+def _tau_grad(p_s: np.ndarray, scaled: Optional[np.ndarray], es: np.ndarray,
+              d: np.ndarray, tau: float, clamp: float) -> float:
     """d/dtau of the batch-mean discrepancy with clip treated as a hard gate.
 
-    scaled = p_s / tau and es = exp(clip(scaled)) are those of the current tau.
+    es = exp(clip(p_s / tau)) and d = ea - es are those of the current tau;
+    scaled = p_s / tau, or None when no |scaled| reaches the clamp. Clipped
+    entries add exact zeros, so a logit whose es * p_s overflows adds none.
     """
-    inside = np.abs(scaled) < clamp
-    terms = np.sign(ea - es) * es * p_s * inside
-    return float(terms.sum() / (tau * tau * ea.shape[0]))
+    terms = np.sign(d) * es * p_s
+    if scaled is not None:
+        terms = np.where(np.abs(scaled) < clamp, terms, 0.0)
+    return float(terms.sum() / (tau * tau * d.shape[0]))
 
 
 def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
@@ -103,14 +106,21 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
         raise ad.ShapeError(f"learn_tau: shapes {p_a.shape} and {p_s.shape} differ")
     clamp = state.logit_clamp
     ea = np.exp(np.clip(p_a, -clamp, clamp))
+    # division is monotone, so amax / tau < clamp puts every |p_s / tau| inside
+    # the clamp and the clip is the identity; a NaN or infinite amax fails it
+    amax = float(np.abs(p_s).max(initial=0.0))
 
     def evaluate(tau: float):
-        """Scaled logits, their clipped exponential and the discrepancy at tau."""
+        """The scaled logits (None when the clip is the identity), their
+        clipped exponential, ea minus it and the discrepancy at tau."""
         scaled = p_s / tau
-        es = np.maximum(scaled, -clamp)  # then minimum: np.clip, NaN included
-        np.exp(np.minimum(es, clamp, out=es), out=es)
-        d = np.subtract(ea, es)
-        return scaled, es, float(np.abs(d, out=d).sum() / p_a.shape[0])
+        if amax / tau < clamp:
+            es, scaled = np.exp(scaled, out=scaled), None
+        else:
+            es = np.maximum(scaled, -clamp)  # then minimum: np.clip, NaN included
+            np.exp(np.minimum(es, clamp, out=es), out=es)
+        d = ea - es
+        return scaled, es, d, float(np.abs(d).sum() / p_a.shape[0])
 
     trust = state.step_size / 1e-2  # default step_size gives a full-tau trust region
     tau = state.tau
@@ -118,16 +128,18 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
     # only when a candidate is accepted, and then it is that candidate's
     cur = evaluate(tau) if state.steps > 0 else None
     for _ in range(state.steps):
-        scaled, es, cur_loss = cur
-        g = _tau_grad(ea, p_s, scaled, es, tau, clamp)
-        if g == 0.0 or not math.isfinite(g):  # a non-finite g has no direction
+        scaled, es, d, cur_loss = cur
+        g = _tau_grad(p_s, scaled, es, d, tau, clamp)
+        # a zero or non-finite g has no direction; a NaN discrepancy (a NaN
+        # logit) is NaN at every tau, so no candidate could beat it
+        if g == 0.0 or not math.isfinite(g) or math.isnan(cur_loss):
             continue
         direction = -np.sign(g)
         delta = trust * (tau if direction > 0 else 0.5 * tau)
         while delta > 1e-12 * tau:
             cand = state.clamped(tau + direction * delta)
             trial = evaluate(cand)
-            if trial[2] < cur_loss:
+            if trial[3] < cur_loss:
                 tau, cur = cand, trial
                 break
             delta *= 0.5

@@ -67,10 +67,17 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, copy=True)
-        else:
-            self.grad = self.grad + g
+        """Keep the first gradient by reference; sum later ones into a new array.
+
+        Nothing writes into a ``.grad`` or into the upstream gradient a backward
+        function is given, so the array it returned is kept as it is. A gradient
+        must have the tensor's shape: none is broadcast.
+        """
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != self.data.shape:
+            raise ShapeError(f"accumulate_grad: gradient shape {g.shape} does not match "
+                             f"tensor shape {self.data.shape}")
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

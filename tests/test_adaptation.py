@@ -29,6 +29,19 @@ def entropy_np(z):
     return -(p * np.log(p)).sum(axis=-1)
 
 
+class CountingTauState(TauState):
+    """A TauState that records every tau the line search clamps: each
+    candidate it evaluates, then the final value."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.seen = []
+
+    def clamped(self, tau):
+        self.seen.append(tau)
+        return super().clamped(tau)
+
+
 class TestLearnTau:
     def test_identical_logits_keep_tau_one(self):
         z = np.random.default_rng(1).standard_normal((64, 8)) * 3
@@ -107,21 +120,27 @@ class TestLearnTau:
 
     @pytest.mark.parametrize("model", ["anchor", "auxiliary"])
     def test_nan_batch_skips_iterations_and_keeps_tau(self, model):
-        # a NaN logit makes the tau gradient NaN: each iteration is skipped
-        # without trying a candidate, as for a zero gradient
-        class CountingTauState(TauState):
-            def clamped(self, tau):
-                seen.append(tau)
-                return super().clamped(tau)
-
-        seen = []
+        # a NaN logit makes the discrepancy NaN at every tau: each iteration
+        # is skipped without trying a candidate, as for a zero gradient
         rng = np.random.default_rng(3)
         p_a, p_s = rng.standard_normal((2, 8, 4))
         (p_a if model == "anchor" else p_s)[5, 2] = np.nan
         state = CountingTauState(tau=1.7, steps=5)
         learn_tau(state, p_a, p_s)
         assert state.tau == 1.7
-        assert seen == [1.7]   # the final clamp only
+        assert state.seen == [1.7]   # the final clamp only
+
+    def test_overflowing_logits_leave_tau_free_to_move(self):
+        # es * p_s overflows for +-1e308; those entries are clipped and must
+        # add nothing to the gradient, not an inf * 0 that freezes tau
+        rng = np.random.default_rng(4)
+        p_a = rng.standard_normal((16, 6))
+        p_s = 2 * p_a
+        p_s[3, 1], p_s[9, 4] = 1e308, -1e308
+        state = TauState(tau=1.0, steps=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            learn_tau(state, p_a, p_s)
+        assert abs(state.tau - 2.0) < 0.05
 
     @staticmethod
     def reference_learn_tau(state, p_a, p_s):
@@ -136,7 +155,7 @@ class TestLearnTau:
         def grad(tau):
             scaled = p_s / tau
             es = np.exp(np.clip(scaled, -clamp, clamp))
-            terms = np.sign(ea - es) * es * p_s * (np.abs(scaled) < clamp)
+            terms = np.where(np.abs(scaled) < clamp, np.sign(ea - es) * es * p_s, 0.0)
             return float(terms.sum() / (tau * tau * ea.shape[0]))
 
         tau = state.tau
@@ -172,10 +191,40 @@ class TestLearnTau:
                 expect = self.reference_learn_tau(state, p_a, p_s)
                 assert learn_tau(state, p_a, p_s).tau == expect
 
-    # -1e308 / tau overflows to -inf for tau < 1 and keeps the gradient
-    # finite, so the line search clips infinite scaled logits; NaN, +-inf and
-    # 1e308 (es * p_s overflows) make the gradient NaN, so every iteration is
-    # skipped, as in the reference
+    def test_evaluates_the_reference_candidates(self):
+        # the clip-free path is taken only where the clip is the identity, so
+        # every gradient sign, and with it every candidate, is the reference's
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n, c = rng.integers(1, 40), rng.integers(2, 12)
+            p_a = rng.standard_normal((n, c)) * rng.uniform(0.1, 8)
+            p_s = p_a * rng.uniform(-3, 5) + rng.standard_normal((n, c)) * rng.uniform(0, 4)
+            kw = dict(tau=float(rng.uniform(0.05, 20)), steps=int(rng.integers(1, 10)),
+                      logit_clamp=float(rng.choice([20.0, 3.0])))
+            ref, state = CountingTauState(**kw), CountingTauState(**kw)
+            expect = self.reference_learn_tau(ref, p_a, p_s)
+            assert learn_tau(state, p_a, p_s).tau == expect
+            assert state.seen == ref.seen
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_clamp_boundary_matches_reference(self, ulps):
+        # max|p_s| / tau is the clamp exactly (0) or one ulp either side. At
+        # equality the largest entry is clipped: it leaves the gradient, whose
+        # sign it would flip, so only the clip path matches the reference
+        amax = 6.0 if ulps == 0 else float(np.nextafter(6.0, ulps * np.inf))
+        assert np.sign(amax / 2.0 - 3.0) == ulps   # dividing by 2 is exact
+        p_a = np.array([[2.5, 2.0]])
+        p_s = np.array([[amax, 0.5]])
+        kw = dict(tau=2.0, steps=3, logit_clamp=3.0)
+        ref, state = CountingTauState(**kw), CountingTauState(**kw)
+        expect = self.reference_learn_tau(ref, p_a, p_s)
+        assert learn_tau(state, p_a, p_s).tau == expect
+        assert state.seen == ref.seen
+
+    # -1e308 / tau overflows to -inf for tau < 1, so the line search clips
+    # infinite scaled logits. Clipped entries add zeros to the gradient, so
+    # +-inf and 1e308 (es * p_s overflows) leave tau free to move; NaN makes
+    # the discrepancy NaN at every tau, so tau stays, as in the reference
     SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 1e308, -1e308]
 
     @pytest.mark.parametrize("special", SPECIALS, ids=str)

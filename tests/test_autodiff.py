@@ -1,11 +1,16 @@
 """Finite-difference and invariant checks for the reverse-mode engine."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from coca_tta import adaptation as co
 from coca_tta import autodiff as ad
+from coca_tta import models
 from coca_tta.autodiff import SGD, ShapeError, Tape, Tensor
+from coca_tta.models import ModelSpec, build_model, cross_entropy_mean, pretrain
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -571,3 +576,150 @@ class TestSGD:
         opt = SGD([p], lr=0.1)
         with pytest.raises(ValueError):
             opt.step()
+
+
+_ENS = co.ensemble(*np.random.default_rng(9).uniform(-2.0, 3.0, (2, 6, 5)), tau=1.3)
+_KEEP = np.array([True, False, True, True, True, False])
+
+
+def node(op, shapes, build, low=-2.0, id=None):
+    """One node kind the tape records: build(*tensors) records exactly one."""
+    return pytest.param(op, shapes, build, low, id=id or op)
+
+
+NODE_KINDS = [
+    node("add", [(4, 5), (5,)], ad.add),
+    node("sub", [(4, 5), (4, 1)], ad.sub),
+    node("mul", [(4, 5), (4, 5)], ad.mul),
+    node("div", [(4, 5), (5,)], ad.div, low=0.5),
+    node("scalar_div", [(4, 5)], lambda a: ad.scalar_div(a, 3.0)),
+    node("matmul", [(4, 3), (3, 5)], ad.matmul),
+    node("linear", [(4, 3), (3, 5), (5,)], ad.linear),
+    node("conv2d", [(2, 3, 5, 4), (4, 3, 3, 3)], ad.conv2d),
+    node("conv2d", [(2, 3, 5, 4), (4, 3, 3, 3), (4,)], ad.conv2d, id="conv2d_bias"),
+    node("relu", [(4, 5)], ad.relu),
+    node("exp", [(4, 5)], ad.exp),
+    node("log", [(4, 5)], ad.log, low=0.5),
+    node("reshape", [(2, 3, 4)], lambda a: ad.reshape(a, (2, -1))),
+    node("sum", [(4, 5)], ad.tensor_sum),
+    node("sum", [(4, 5)], lambda a: ad.tensor_sum(a, axis=0), id="sum_axis"),
+    node("mean", [(4, 5)], ad.tensor_mean),
+    node("mean", [(4, 5)], lambda a: ad.tensor_mean(a, axis=-1), id="mean_axis"),
+    node("max_last_axis", [(4, 5)], ad.max_last_axis),
+    node("softmax", [(4, 5)], ad.softmax),
+    node("logsumexp", [(4, 5)], ad.logsumexp),
+    node("batchnorm", [(4, 3, 2, 2), (3,), (3,)], ad.batchnorm),
+    node("layernorm", [(4, 5), (5,), (5,)], ad.layernorm),
+    node("cross_entropy", [(6, 5)],
+         lambda z: cross_entropy_mean(z, np.array([0, 4, 1, 1, 3, 2]))),
+    node("coca_objective", [(6, 5), (6, 5)],
+         lambda a, s: co._combined_loss(a, s, _ENS, _KEEP, 0.7, co.LossMasks())[0]),
+    node("ensemble_logits", [(6, 5), (6, 5)], lambda a, s: co._ensemble_tensor(a, s, _ENS)),
+]
+
+
+def copying_accumulate_grad(self, g):
+    """Tensor.accumulate_grad with the first gradient copied, as it once was."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=np.float64, copy=True)
+    else:
+        self.grad = self.grad + g
+
+
+class TestGradientOwnership:
+    """accumulate_grad keeps the first gradient by reference. That is exact
+    only while no backward function writes into its upstream gradient and
+    every gradient has its tensor's shape."""
+
+    def test_node_kinds_cover_every_recorded_op(self):
+        text = "".join(inspect.getsource(m) for m in (ad, co, models))
+        recorded = set(re.findall(r'(?:_record|_normalize)\("(\w+)"', text))
+        assert recorded == {p.values[0] for p in NODE_KINDS}
+
+    @pytest.mark.parametrize("op,shapes,build,low", NODE_KINDS)
+    def test_backward_reads_a_read_only_upstream_gradient(self, op, shapes, build, low,
+                                                          monkeypatch):
+        recorded = []
+        record = ad._record
+
+        def naming_record(op_name, *args):
+            recorded.append(op_name)
+            return record(op_name, *args)
+
+        monkeypatch.setattr(ad, "_record", naming_record)
+        rng = np.random.default_rng(2)
+        tensors = [Tensor(rng.uniform(low, 2.0, s), requires_grad=True) for s in shapes]
+        with Tape() as tape:
+            out = build(*tensors)
+        assert recorded == [op] and len(tape) == 1
+        backward_fn = tape._nodes[0].backward_fn
+        g = np.array(rng.standard_normal(out.shape))
+        frozen = g.copy()
+        frozen.flags.writeable = False
+        want = backward_fn(g)
+        got = backward_fn(frozen)
+        assert np.array_equal(g, frozen)   # nor is a writeable one written into
+        assert len(got) == len(want)
+        for w, r, t in zip(want, got, tensors):
+            assert w is not None and r is not None
+            assert w.shape == r.shape == t.shape
+            assert np.array_equal(w, r)
+
+    @staticmethod
+    def add_two_leaves():
+        rng = np.random.default_rng(8)
+        a, b = (Tensor(rng.standard_normal((4, 3)), requires_grad=True) for _ in range(2))
+        w = Tensor(rng.standard_normal((4, 3)))
+        opt = SGD([a, b], lr=0.1, momentum=0.9)
+        grads = []
+        for _ in range(2):
+            with Tape():
+                ad.backward(ad.tensor_sum(ad.mul(ad.add(a, b), w)))
+            grads.append((a.grad is b.grad, a.grad.tobytes(), b.grad.tobytes()))
+        opt.step()
+        return grads, a.data.tobytes(), b.data.tobytes()
+
+    def test_add_shares_one_gradient_between_leaves_exactly(self, monkeypatch):
+        grads, a, b = self.add_two_leaves()
+        assert grads[0][0]   # both leaves hold add's one upstream array
+        monkeypatch.setattr(Tensor, "accumulate_grad", copying_accumulate_grad)
+        ref_grads, ref_a, ref_b = self.add_two_leaves()
+        assert [g[1:] for g in grads] == [g[1:] for g in ref_grads]
+        assert (a, b) == (ref_a, ref_b)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec(kind="mlp", input_shape=(12,), hidden_sizes=[16, 8],
+                  norm_kind="layernorm", num_classes=4),
+        ModelSpec(kind="mlp", input_shape=(12,), hidden_sizes=[16],
+                  norm_kind="batchnorm", num_classes=4),
+        ModelSpec(kind="convnet", input_shape=(2, 6, 6), hidden_sizes=[4, 3],
+                  norm_kind="batchnorm", num_classes=4),
+    ], ids=["mlp_layernorm", "mlp_batchnorm", "convnet"])
+    def test_pretrain_matches_copying_accumulation_exactly(self, spec, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((40,) + spec.input_shape)
+        y = rng.integers(0, spec.num_classes, 40)
+
+        def pretrained():
+            m = build_model(spec, seed=3)
+            pretrain(m, x, y, epochs=2, lr=0.05, seed=1, batch_size=16)
+            return {name: p.data.tobytes() for name, p in m.params.items()}
+
+        got = pretrained()
+        monkeypatch.setattr(Tensor, "accumulate_grad", copying_accumulate_grad)
+        assert got == pretrained()
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_wrongly_shaped_gradient_raises(self, first):
+        # a (1, C) gradient for a (B, C) input: stored as the first gradient
+        # it would stay wrong, and as a later one it would broadcast
+        x = Tensor(np.ones((4, 3)), requires_grad=True)
+        with Tape():
+            def bad():
+                return ad._record("bad", (x,), np.asarray(x.data.sum()),
+                                  lambda g: (np.ones((1, 3)),))
+
+            # backward runs nodes last-recorded first
+            loss = ad.add(ad.tensor_sum(x), bad()) if first else ad.add(bad(), ad.tensor_sum(x))
+            with pytest.raises(ShapeError, match="accumulate_grad: gradient shape"):
+                ad.backward(loss)
