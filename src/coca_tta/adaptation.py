@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SGD, Tape, Tensor
-from .models import ModelHandle, cross_entropy_mean, forward_logits
+from .models import ModelHandle, forward_logits
 from .record import Record
 
 
@@ -82,11 +82,15 @@ def _tau_grad(p_s: np.ndarray, scaled: Optional[np.ndarray], es: np.ndarray,
 
     es = exp(clip(p_s / tau)) and d = ea - es are those of the current tau;
     scaled = p_s / tau, or None when no |scaled| reaches the clamp. Clipped
-    entries add exact zeros, so a logit whose es * p_s overflows adds none.
+    entries add exact zeros and their product is never formed, so a logit
+    whose es * p_s would overflow adds nothing and raises no warning.
     """
-    terms = np.sign(d) * es * p_s
-    if scaled is not None:
-        terms = np.where(np.abs(scaled) < clamp, terms, 0.0)
+    terms = np.sign(d) * es   # |es| <= exp(clamp)
+    if scaled is None:
+        np.multiply(terms, p_s, out=terms)
+    else:
+        terms = np.multiply(terms, p_s, out=np.zeros_like(terms),
+                            where=np.abs(scaled) < clamp)
     return float(terms.sum() / (tau * tau * d.shape[0]))
 
 
@@ -198,23 +202,6 @@ def entropy_rows(logits) -> Tensor:
     q = ad.softmax(t)
     qp = ad.tensor_sum(ad.mul(q, t), axis=-1)
     return ad.sub(lse, qp)
-
-
-def marginal_entropy(p_e) -> Tensor:
-    """Batch-mean entropy of the softmaxed ensemble logits."""
-    return ad.tensor_mean(entropy_rows(p_e))
-
-
-def self_adapt_loss(p_a, p_s) -> Tensor:
-    """Sum of each model's mean prediction entropy."""
-    return ad.add(ad.tensor_mean(entropy_rows(p_a)), ad.tensor_mean(entropy_rows(p_s)))
-
-
-def ckd_loss(p_a, p_s, y_hat: np.ndarray) -> Tensor:
-    """Cross-entropy of both models against the ensemble pseudo-labels."""
-    a = p_a if isinstance(p_a, Tensor) else Tensor(p_a)
-    s = p_s if isinstance(p_s, Tensor) else Tensor(p_s)
-    return ad.add(cross_entropy_mean(a, y_hat), cross_entropy_mean(s, y_hat))
 
 
 def _softmax_stats(z: np.ndarray):

@@ -1,4 +1,4 @@
-"""Command-line entry point: pretrain | adapt | sweep | report | dataset-export | dataset-import.
+"""Command-line entry point: pretrain | adapt | sweep | report.
 
 All randomness flows from a single seed; sweep entry i derives its seed
 as splitmix64(seed, 1000 + i) unless it sets one. The COCA_OUT_DIR
@@ -15,9 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import harness, models, shiftgen
+from . import harness, models
 from .harness import RunConfig, run, sweep_points
 
 class ConfigError(ValueError):
@@ -156,35 +154,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_dataset_export(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    feats, labels = harness.build_test_set(cfg)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    shiftgen.save_dataset(args.out, feats, labels)
-    print(f"wrote {len(labels)} samples to {args.out}")
-    return 0
-
-
-def cmd_dataset_import(args) -> int:
-    feats, labels = shiftgen.load_dataset(args.in_file)
-    if len(labels) == 0:
-        raise shiftgen.DatasetError(f"{args.in_file}: dataset holds no samples")
-    present, counts = np.unique(labels, return_counts=True)
-    summary = {
-        "schema": 1,
-        "count": int(len(labels)),
-        "feature_shape": list(feats.shape[1:]),
-        "class_histogram": [[int(c), int(n)] for c, n in zip(present, counts)],
-        "feature_mean": float(feats.mean()),
-        "feature_std": float(feats.std()),
-    }
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    print(f"imported {len(labels)} samples; summary at {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coca", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -214,17 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--plot-data", dest="plot_data", required=True)
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("dataset-export", help="write a (optionally corrupted) dataset file")
-    p.add_argument("config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_dataset_export)
-
-    p = sub.add_parser("dataset-import", help="read a dataset file and emit a summary")
-    p.add_argument("--in", dest="in_file", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_dataset_import)
 
     return parser
 

@@ -316,20 +316,14 @@ def prepare_models(config: RunConfig) -> list[ModelHandle]:
     return pretrain_models(config)[0]
 
 
-def build_test_set(config: RunConfig):
-    """Corrupted test features and labels that the run's stream draws from."""
+def build_test_stream(config: RunConfig):
+    """The run's stream of batches over its corrupted test set."""
     total = config.stream.total_samples
     c = config.task.num_classes
     n_per_class = max(1, math.ceil((total or c * 64) / c))
     feats, labels = gen_source(config.task, n_per_class, mix64(config.seed, 3))
     if config.corruption is not None:
         feats = apply_corruption(feats, config.corruption, mix64(config.seed, 4))
-    return feats, labels
-
-
-def build_test_stream(config: RunConfig):
-    """Corrupted test set plus its stream iterator."""
-    feats, labels = build_test_set(config)
     return make_stream(feats, labels, config.stream, mix64(config.seed, 5))
 
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from ._framing import Reader, write_u32s
 from .autodiff import SGD, Tape, Tensor
 from .record import Record
 
@@ -242,6 +243,33 @@ def anchor_select(models: Sequence[ModelHandle]) -> list[ModelHandle]:
 
 # --- checkpoint IO -----------------------------------------------------------
 
+def write_u32s(f: BinaryIO, *values: int) -> None:
+    f.write(struct.pack(f"<{len(values)}I", *values))
+
+
+class Reader:
+    """Reads little-endian checkpoint fields; a size past the end raises before any read."""
+
+    def __init__(self, f: BinaryIO):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
+
+    def left(self) -> int:
+        return self.size - self.f.tell()
+
+    def exact(self, size: int, what: str) -> bytes:
+        if size > self.left():
+            raise CheckpointError(f"truncated {what}")
+        return self.f.read(size)
+
+    def u32s(self, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", self.exact(4 * count, what))
+
+    def array(self, dims: tuple[int, ...], what: str) -> np.ndarray:
+        raw = self.exact(8 * math.prod(dims), what)
+        return np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+
+
 def save_checkpoint(model: ModelHandle, path: str) -> None:
     meta = json.dumps({
         "spec": model.spec.to_dict(),
@@ -262,7 +290,7 @@ def save_checkpoint(model: ModelHandle, path: str) -> None:
 
 def load_checkpoint(path: str) -> ModelHandle:
     with open(path, "rb") as f:
-        r = Reader(f, CheckpointError)
+        r = Reader(f)
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint magic: {magic!r}")
@@ -295,7 +323,7 @@ def load_checkpoint(path: str) -> ModelHandle:
                 raise CheckpointError(f"parameter {name!r} appears twice in checkpoint")
             dims = r.u32s(*r.u32s(1, f"rank of parameter {name!r}"),
                           f"shape of parameter {name!r}")
-            loaded[name] = r.array(dims, "<f8", f"data for parameter {name!r}")
+            loaded[name] = r.array(dims, f"data for parameter {name!r}")
     if set(loaded) != set(model.params):
         raise CheckpointError("checkpoint parameter names do not match model spec")
     for name, arr in loaded.items():

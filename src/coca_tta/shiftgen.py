@@ -12,11 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._framing import Reader, write_u32s
 from .record import Record
-
-DATASET_MAGIC = b"COCD"
-DATASET_VERSION = 1
 
 GAUSSIAN_NOISE_STD = {1: 0.25, 2: 0.5, 3: 0.75, 4: 1.0, 5: 1.5}
 UNIFORM_NOISE_HALFWIDTH = {1: 0.25, 2: 0.5, 3: 0.75, 4: 1.0, 5: 1.5}
@@ -25,10 +21,6 @@ ROTATION_DEGREES = {1: 10.0, 2: 20.0, 3: 30.0, 4: 45.0, 5: 60.0}
 
 CORRUPTION_KINDS = ("gaussian_noise", "uniform_noise", "contrast_scale",
                     "feature_rotation", "blur3x3")
-
-
-class DatasetError(ValueError):
-    """Raised when a dataset file is malformed."""
 
 
 @dataclass
@@ -189,39 +181,3 @@ def make_stream(features: np.ndarray, labels: np.ndarray, spec: StreamSpec,
             break
         yield features[idx], labels[idx]
 
-
-# --- dataset file IO ---------------------------------------------------------
-
-def save_dataset(path: str, features: np.ndarray, labels: np.ndarray) -> None:
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if len(features) != len(labels):
-        raise DatasetError("features and labels length mismatch")
-    # the file holds each label as a little-endian u32
-    if not (np.issubdtype(labels.dtype, np.integer) and np.all((labels >= 0) & (labels < 2**32))):
-        raise DatasetError("labels must be integers in [0, 2**32)")
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        write_u32s(f, DATASET_VERSION, len(labels), features.ndim, *features.shape)
-        f.write(np.ascontiguousarray(features, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(labels, dtype="<u4").tobytes())
-
-
-def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as f:
-        r = Reader(f, DatasetError)
-        magic = f.read(4)
-        if magic != DATASET_MAGIC:
-            raise DatasetError(f"bad dataset magic: {magic!r}")
-        version, = r.u32s(1, "dataset version")
-        if version != DATASET_VERSION:
-            raise DatasetError(f"unsupported dataset version: {version}")
-        count, rank = r.u32s(2, "dataset header")
-        dims = r.u32s(rank, "dataset shape")
-        if not dims or dims[0] != count:
-            raise DatasetError("dataset shape does not match sample count")
-        features = r.array(dims, "<f8", "dataset features")
-        labels = r.array((count,), "<u4", "dataset labels").astype(np.int64)
-        if r.left():
-            raise DatasetError(f"{r.left()} bytes after the dataset labels")
-    return features, labels

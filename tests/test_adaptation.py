@@ -1,6 +1,7 @@
 """Temperature learning, ensembling, losses, and co-adaptation steps."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ from hypothesis import strategies as st
 
 from coca_tta import adaptation as co
 from coca_tta import autodiff as ad
-from coca_tta.adaptation import (LossMasks, TauState, agreement_rate,
-                                 ckd_loss, coca_step, drop_auxiliary,
-                                 ensemble, entropy_rows, learn_tau,
-                                 marginal_entropy, multi_model_step,
-                                 self_adapt_loss)
+from coca_tta.adaptation import (LossMasks, TauState, agreement_rate, coca_step,
+                                 drop_auxiliary, ensemble, entropy_rows, learn_tau,
+                                 multi_model_step)
 from coca_tta.autodiff import SGD, Tape, Tensor
 from coca_tta.models import ModelSpec, build_model, forward_logits, pretrain
 from coca_tta.shiftgen import SourceTask, gen_source
+from oracles import ckd_loss, marginal_entropy, self_adapt_loss
 
 
 def softmax_np(z):
@@ -139,6 +139,19 @@ class TestLearnTau:
         p_s[3, 1], p_s[9, 4] = 1e308, -1e308
         state = TauState(tau=1.0, steps=5)
         with np.errstate(over="ignore", invalid="ignore"):
+            learn_tau(state, p_a, p_s)
+        assert abs(state.tau - 2.0) < 0.05
+
+    def test_overflowing_logits_raise_no_warning(self):
+        # a clipped entry's es * p_s is never formed, so a 1e308 logit
+        # raises no "overflow encountered in multiply"
+        rng = np.random.default_rng(4)
+        p_a = rng.standard_normal((16, 6))
+        p_s = 2 * p_a
+        p_s[3, 1], p_s[9, 4] = 1e308, -1e308
+        state = TauState(tau=1.0, steps=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             learn_tau(state, p_a, p_s)
         assert abs(state.tau - 2.0) < 0.05
 

@@ -1,5 +1,6 @@
 """End-to-end exercises of the command-line interface."""
 
+import argparse
 import concurrent.futures
 import csv
 import ctypes
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from coca_tta import harness, models
-from coca_tta.cli import ConfigError, main, validate_config
-from coca_tta.shiftgen import StreamSpec, load_dataset, save_dataset
+from coca_tta.cli import ConfigError, build_parser, main, validate_config
+from coca_tta.shiftgen import StreamSpec
 
 
 def blas_thread_getter():
@@ -453,64 +454,20 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
 
 
-class TestDatasetCommands:
-    def test_export_then_import_round_trip(self, tmp_path):
-        cfg = write_config(tmp_path)
-        data = tmp_path / "corrupted.cocd"
-        assert main(["dataset-export", str(cfg), "--out", str(data)]) == 0
-        feats, labels = load_dataset(str(data))
-        assert len(labels) == 48 * 4          # total_samples 192 over 4 classes
-        assert feats.shape == (192, 8)
+class TestCommandSet:
+    def test_parser_has_exactly_the_run_commands(self):
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {"pretrain", "adapt", "sweep", "report"}
 
-        summary_path = tmp_path / "summary.json"
-        assert main(["dataset-import", "--in", str(data),
-                     "--out", str(summary_path)]) == 0
-        summary = json.loads(summary_path.read_text())
-        assert summary["count"] == 192
-        assert summary["class_histogram"] == [[0, 48], [1, 48], [2, 48], [3, 48]]
-        assert summary["feature_shape"] == [8]
-
-    def test_export_holds_the_stream_test_set(self, tmp_path):
-        cfg = write_config(tmp_path)
-        data = tmp_path / "corrupted.cocd"
-        assert main(["dataset-export", str(cfg), "--out", str(data)]) == 0
-        feats, labels = load_dataset(str(data))
-        batches = list(harness.build_test_stream(validate_config(json.loads(cfg.read_text()))))
-        streamed = np.concatenate([xb for xb, _ in batches])
-        streamed_labels = np.concatenate([yb for _, yb in batches])
-        assert len(streamed) == len(feats)
-        # the stream visits every exported row once, in its own order
-        order, s_order = np.lexsort(feats.T), np.lexsort(streamed.T)
-        assert np.array_equal(feats[order], streamed[s_order])
-        assert np.array_equal(labels[order], streamed_labels[s_order])
-
-    def test_import_counts_only_the_labels_present(self, tmp_path):
-        # the histogram used to hold one count per label up to the largest,
-        # 7 MB of zeros for a label of 10**6
-        data = tmp_path / "sparse.cocd"
-        save_dataset(str(data), np.zeros((4, 2)), np.array([10**6, 0, 1, 10**6]))
-        summary_path = tmp_path / "summary.json"
-        assert main(["dataset-import", "--in", str(data), "--out", str(summary_path)]) == 0
-        summary = json.loads(summary_path.read_text())
-        assert summary["class_histogram"] == [[0, 1], [1, 1], [10**6, 2]]
-        assert summary_path.stat().st_size < 1000
-
-    def test_import_rejects_garbage_file(self, tmp_path, capsys):
-        junk = tmp_path / "junk.bin"
-        junk.write_bytes(b"not a dataset")
-        rc = main(["dataset-import", "--in", str(junk),
-                   "--out", str(tmp_path / "s.json")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_import_rejects_a_file_without_samples(self, tmp_path, capsys):
-        # its summary used to hold "feature_mean": NaN, which is no JSON
-        data = tmp_path / "empty.cocd"
-        save_dataset(str(data), np.zeros((0, 8)), np.zeros(0, dtype=np.int64))
-        summary = tmp_path / "s.json"
-        assert main(["dataset-import", "--in", str(data), "--out", str(summary)]) == 1
-        assert capsys.readouterr().err == f"error: {data}: dataset holds no samples\n"
-        assert not summary.exists()
+    @pytest.mark.parametrize("command", ["dataset-export", "dataset-import"])
+    def test_dataset_commands_are_usage_errors(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_report_with_no_metrics_fails(tmp_path, capsys):

@@ -1,17 +1,11 @@
-"""Task generators, corruption operators, stream ordering, and dataset IO."""
-
-import struct
+"""Task generators, corruption operators and stream ordering."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from coca_tta.shiftgen import (CONTRAST_SCALE, DATASET_MAGIC, CorruptionSpec,
-                               DatasetError, GAUSSIAN_NOISE_STD, SourceTask,
-                               StreamSpec, apply_corruption, class_centers,
-                               gen_source, load_dataset, make_stream,
-                               save_dataset)
+from coca_tta.shiftgen import (CONTRAST_SCALE, CorruptionSpec, GAUSSIAN_NOISE_STD,
+                               SourceTask, StreamSpec, apply_corruption,
+                               class_centers, gen_source, make_stream)
 
 
 def mixture(C=8, dims=32, sep=6.0):
@@ -224,103 +218,3 @@ class TestStreams:
         with pytest.raises(ValueError, match="total_samples"):
             StreamSpec(total_samples=total)
 
-
-class TestDatasetIO:
-    def test_round_trip(self, tmp_path):
-        feats, labels = gen_source(mixture(C=3), n_per_class=5, seed=0)
-        path = str(tmp_path / "d.cocd")
-        save_dataset(path, feats, labels)
-        f2, l2 = load_dataset(path)
-        assert np.array_equal(f2, feats)
-        assert np.array_equal(l2, labels)
-
-    def test_image_round_trip(self, tmp_path):
-        task = SourceTask(kind="procedural_images", num_classes=2, image_shape=(1, 4, 4))
-        feats, labels = gen_source(task, n_per_class=3, seed=0)
-        path = str(tmp_path / "d.cocd")
-        save_dataset(path, feats, labels)
-        f2, l2 = load_dataset(path)
-        assert f2.shape == feats.shape and np.array_equal(f2, feats)
-
-    def test_magic_bytes(self, tmp_path):
-        feats, labels = gen_source(mixture(C=3), n_per_class=2, seed=0)
-        path = str(tmp_path / "d.cocd")
-        save_dataset(path, feats, labels)
-        with open(path, "rb") as f:
-            assert f.read(4) == DATASET_MAGIC
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = str(tmp_path / "bad.cocd")
-        with open(path, "wb") as f:
-            f.write(b"WHAT" + b"\x00" * 20)
-        with pytest.raises(DatasetError):
-            load_dataset(path)
-
-    def test_truncation_rejected(self, tmp_path):
-        feats, labels = gen_source(mixture(C=3), n_per_class=4, seed=0)
-        path = str(tmp_path / "d.cocd")
-        save_dataset(path, feats, labels)
-        data = open(path, "rb").read()
-        with open(path, "wb") as f:
-            f.write(data[:-5])
-        with pytest.raises(DatasetError):
-            load_dataset(path)
-
-    def test_bytes_after_the_labels_rejected(self, tmp_path):
-        feats, labels = gen_source(mixture(C=3), n_per_class=1, seed=0)
-        path = tmp_path / "d.cocd"
-        save_dataset(str(path), feats, labels)
-        path.write_bytes(path.read_bytes() + b"garbage-tail")
-        with pytest.raises(DatasetError, match="12 bytes after the dataset labels"):
-            load_dataset(str(path))
-
-    @pytest.mark.parametrize("bad", [-1, 1.7, 2**32], ids=["negative", "fraction", "u32_max+1"])
-    def test_labels_a_u32_cannot_hold_rejected(self, tmp_path, bad):
-        # they used to be written as 4294967295, 1 and 0
-        path = tmp_path / "d.cocd"
-        with pytest.raises(DatasetError, match=r"labels must be integers in \[0, 2\*\*32\)"):
-            save_dataset(str(path), np.zeros((3, 2)), np.array([0, 1, bad]))
-        assert not path.exists()
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        with pytest.raises(DatasetError):
-            save_dataset(str(tmp_path / "d.cocd"), np.zeros((3, 2)), np.zeros(2, dtype=int))
-
-
-class TestDatasetReaderRejectsBadInput:
-    """Malformed dataset files raise DatasetError without reading past the file."""
-
-    @pytest.fixture(scope="class")
-    def path(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("cocd") / "f.cocd"
-
-    @staticmethod
-    def header(count, dims):
-        return DATASET_MAGIC + struct.pack(f"<{3 + len(dims)}I", 1, count, len(dims), *dims)
-
-    def test_shape_product_beyond_int64(self, path):
-        # 2**21 * 2**21 * 2**22 == 2**64 wraps to 0 in int64 arithmetic
-        path.write_bytes(self.header(2**21, (2**21, 2**21, 2**22)))
-        with pytest.raises(DatasetError):
-            load_dataset(str(path))
-
-    def test_oversized_rank(self, path):
-        path.write_bytes(DATASET_MAGIC + struct.pack("<3I", 1, 2, 2**32 - 1) + bytes(16))
-        with pytest.raises(DatasetError):
-            load_dataset(str(path))
-
-    @given(count=st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
-           rank=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
-           dims=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)), max_size=4),
-           payload=st.binary(max_size=160))
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    def test_fuzzed_header(self, path, count, rank, dims, payload):
-        head = self.header(count, dims)
-        if rank is not None:
-            head = head[:12] + struct.pack("<I", rank) + head[16:]
-        path.write_bytes(head + payload)
-        try:
-            feats, labels = load_dataset(str(path))
-        except DatasetError:
-            return
-        assert feats.shape == tuple(dims) and labels.shape == (count,)
