@@ -117,10 +117,13 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
     def evaluate(tau: float):
         """The scaled logits (None when the clip is the identity), their
         clipped exponential, ea minus it and the discrepancy at tau."""
-        scaled = p_s / tau
         if amax / tau < clamp:
+            scaled = p_s / tau
             es, scaled = np.exp(scaled, out=scaled), None
         else:
+            # a +-1e308 logit over a tau below 1 is +-inf, which the clip maps to +-clamp
+            with np.errstate(over="ignore"):
+                scaled = p_s / tau
             es = np.maximum(scaled, -clamp)  # then minimum: np.clip, NaN included
             np.exp(np.minimum(es, clamp, out=es), out=es)
         d = ea - es
@@ -131,22 +134,31 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
     # the current tau's evaluation is carried across iterations: it changes
     # only when a candidate is accepted, and then it is that candidate's
     cur = evaluate(tau) if state.steps > 0 else None
+    # An iteration depends only on tau, so once one accepts nothing every
+    # later one would repeat it exactly, and the search ends.
     for _ in range(state.steps):
         scaled, es, d, cur_loss = cur
         g = _tau_grad(p_s, scaled, es, d, tau, clamp)
         # a zero or non-finite g has no direction; a NaN discrepancy (a NaN
         # logit) is NaN at every tau, so no candidate could beat it
         if g == 0.0 or not math.isfinite(g) or math.isnan(cur_loss):
-            continue
+            break
         direction = -np.sign(g)
         delta = trust * (tau if direction > 0 else 0.5 * tau)
+        before = tau
         while delta > 1e-12 * tau:
             cand = state.clamped(tau + direction * delta)
+            # tau is the bound the step points past: its loss is cur_loss, and
+            # every smaller step clamps to it too
+            if cand == tau:
+                break
             trial = evaluate(cand)
             if trial[3] < cur_loss:
                 tau, cur = cand, trial
                 break
             delta *= 0.5
+        if tau == before:
+            break
     state.tau = state.clamped(tau)
     return state
 

@@ -413,9 +413,7 @@ def conv2d(x, w, b=None) -> Tensor:
     x: (B, Cin, H, W); w: (Cout, Cin, 3, 3); b: optional (Cout,) bias. Runs
     channel-last in :func:`_conv3x3`; the input gradient is the same kernel
     applied to the output gradient with the spatially flipped, channel-swapped
-    kernel. Output and input gradient are copied back to C-contiguous NCHW for
-    the ops that follow, the bias added in that copy. Gradients of inputs that
-    do not require one are not computed.
+    kernel. Gradients of inputs that do not require one are not computed.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -429,19 +427,15 @@ def conv2d(x, w, b=None) -> Tensor:
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} does not match {cout} outputs")
     out, cols = _conv3x3(x.data.transpose(0, 2, 3, 1),
-                         w.data.transpose(0, 2, 3, 1).reshape(cout, -1))
-    nchw = out.transpose(0, 3, 1, 2)
-    out = (np.ascontiguousarray(nchw) if b is None else
-           np.add(nchw, b.data.reshape(1, -1, 1, 1), out=np.empty(nchw.shape)))
-    if not w.requires_grad:
-        cols = None
+                         w.data.transpose(0, 2, 3, 1).reshape(cout, -1),
+                         None if b is None else b.data, keep_cols=w.requires_grad)
 
     def bwd(g):
         gn = g.transpose(0, 2, 3, 1)                          # (B, H, W, Cout)
         gx = gw = None
         if x.requires_grad:
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(cin, -1)
-            gx = np.ascontiguousarray(_conv3x3(gn, wflip)[0].transpose(0, 3, 1, 2))
+            gx = _conv3x3(gn, wflip)[0]
         if w.requires_grad:
             gw = np.tensordot(gn, cols, axes=([0, 1, 2], [0, 1, 2]))   # (Cout, 9*Cin)
             gw = gw.reshape(cout, 3, 3, cin).transpose(0, 3, 1, 2)
@@ -451,21 +445,55 @@ def conv2d(x, w, b=None) -> Tensor:
     return _record("conv2d", (x, w) if b is None else (x, w, b), out, bwd)
 
 
-def _conv3x3(xn: np.ndarray, wmat: np.ndarray):
-    """Channel-last 3x3 same convolution as one im2col copy and one matmul.
+# Bytes of im2col columns built at a time when the caller does not keep them.
+# Larger chunks hold more heap; much smaller ones make GEMMs small enough for
+# a BLAS to round differently (see _conv3x3).
+_CHUNK_BYTES = 1 << 20
+
+
+def _conv3x3(xn: np.ndarray, wmat: np.ndarray, bias: Optional[np.ndarray] = None,
+             keep_cols: bool = False):
+    """Channel-last 3x3 same convolution by im2col and matmul, in batch chunks.
 
     xn: (B, H, W, C), any strides; wmat: (Cout, 9*C) with columns ordered
-    (kh, kw, C). Returns the (B, H, W, Cout) output and the (B, H, W, 9*C)
-    columns. Each window row, 3 pixels of C channels, is copied as one run.
+    (kh, kw, C); bias: optional (Cout,). Returns the C-contiguous
+    (B, Cout, H, W) output, the bias added as each chunk is copied into it,
+    and the (B, H, W, 9*C) columns if ``keep_cols``, else None.
+
+    Kept columns span the whole batch: the weight gradient sums over all of
+    their rows at once. Otherwise the batch is cut into the fewest chunks
+    whose columns fit in ``_CHUNK_BYTES``, and one padded buffer and one
+    column buffer are reused across them. Each output value comes from one
+    GEMM row either way, but a BLAS may round a small GEMM differently from
+    a large one (OpenBLAS 0.3.31 does below about 1200 outputs), so chunk
+    sizes differ by at most one sample: no chunk is a small remainder.
+    Each window row, 3 pixels of C channels, is copied as one run.
     """
     b, h, wd, c = xn.shape
-    xp = np.zeros((b, h + 2, wd + 2, c))
-    xp[:, 1:-1, 1:-1] = xn
+    cout = wmat.shape[0]
+    nchunks = 1 if keep_cols else max(1, -(-b * h * wd * 9 * c * 8 // _CHUNK_BYTES))
+    step = max(1, -(-b // nchunks))
+    # the output outlives the buffers: allocated first, it does not sit above
+    # them in the heap and pin their space once they are freed
+    out = np.empty((b, cout, h, wd))
+    xp = np.zeros((step, h + 2, wd + 2, c))
     sb, sh, sw, sc = xp.strides
-    rows = np.lib.stride_tricks.as_strided(xp, (b, h, wd, 3, 3 * c), (sb, sh, sw, sh, sc))
-    cols = rows.reshape(b, h, wd, 9 * c)
-    out = cols.reshape(-1, 9 * c) @ wmat.T
-    return out.reshape(b, h, wd, -1), cols
+    windows = np.lib.stride_tricks.as_strided(xp, (step, h, wd, 3, 3 * c),
+                                              (sb, sh, sw, sh, sc))
+    cols = np.empty(windows.shape)
+    prod = np.empty((step * h * wd, cout))
+    bounds = [b * j // nchunks for j in range(nchunks + 1)]
+    for i, end in zip(bounds, bounds[1:]):
+        n = end - i
+        xp[:n, 1:-1, 1:-1] = xn[i:end]
+        np.copyto(cols[:n], windows[:n])
+        res = np.matmul(cols[:n].reshape(-1, 9 * c), wmat.T, out=prod[:n * h * wd])
+        nchw = res.reshape(n, h, wd, cout).transpose(0, 3, 1, 2)
+        if bias is None:
+            out[i:end] = nchw
+        else:
+            np.add(nchw, bias.reshape(1, -1, 1, 1), out=out[i:end])
+    return out, cols[:b].reshape(b, h, wd, 9 * c) if keep_cols else None
 
 
 def batchnorm(x, scale, shift) -> Tensor:

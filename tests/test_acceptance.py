@@ -126,9 +126,15 @@ def grid_minimizer(p_a, p_s, lo=0.1, hi=20.0, step=1e-3, clamp=20.0):
     s = p_s.ravel()
     taus = np.arange(lo, hi, step)
     best_tau, best_val = None, np.inf
-    for chunk in np.array_split(taus, 64):
-        d = np.abs(ea[None] - np.exp(np.clip(
-            s[None] / chunk[:, None], -clamp, clamp))).sum(axis=1)
+    chunks = np.array_split(taus, 64)
+    buf = np.empty((len(chunks[0]), s.size))
+    for chunk in chunks:
+        # |ea - exp(clip(s / tau))| in place; maximum then minimum is np.clip
+        t = buf[:len(chunk)]
+        np.divide(s[None], chunk[:, None], out=t)
+        np.minimum(np.maximum(t, -clamp, out=t), clamp, out=t)
+        np.abs(np.subtract(ea[None], np.exp(t, out=t), out=t), out=t)
+        d = t.sum(axis=1)
         i = int(np.argmin(d))
         if d[i] < best_val:
             best_tau, best_val = float(chunk[i]), float(d[i])

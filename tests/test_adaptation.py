@@ -162,11 +162,14 @@ class TestLearnTau:
         ea = np.exp(np.clip(p_a, -clamp, clamp))
 
         def loss(tau):
-            return float(np.abs(ea - np.exp(np.clip(p_s / tau, -clamp, clamp))).sum()
+            with np.errstate(over="ignore"):
+                scaled = p_s / tau
+            return float(np.abs(ea - np.exp(np.clip(scaled, -clamp, clamp))).sum()
                          / p_a.shape[0])
 
         def grad(tau):
-            scaled = p_s / tau
+            with np.errstate(over="ignore"):
+                scaled = p_s / tau
             es = np.exp(np.clip(scaled, -clamp, clamp))
             terms = np.where(np.abs(scaled) < clamp, np.sign(ea - es) * es * p_s, 0.0)
             return float(terms.sum() / (tau * tau * ea.shape[0]))
@@ -206,7 +209,10 @@ class TestLearnTau:
 
     def test_evaluates_the_reference_candidates(self):
         # the clip-free path is taken only where the clip is the identity, so
-        # every gradient sign, and with it every candidate, is the reference's
+        # every gradient sign, and with it every candidate, is the reference's.
+        # The search tries the reference's first candidates: it stops where the
+        # reference would only repeat a rejected iteration or retry the bound
+        # tau sits on. The final clamps match.
         rng = np.random.default_rng(13)
         for _ in range(100):
             n, c = rng.integers(1, 40), rng.integers(2, 12)
@@ -217,7 +223,27 @@ class TestLearnTau:
             ref, state = CountingTauState(**kw), CountingTauState(**kw)
             expect = self.reference_learn_tau(ref, p_a, p_s)
             assert learn_tau(state, p_a, p_s).tau == expect
-            assert state.seen == ref.seen
+            *cands, final = state.seen
+            assert cands == ref.seen[:len(cands)] and final == ref.seen[-1]
+
+    @pytest.mark.parametrize("bound", ["tau_min", "tau_max"])
+    def test_pinned_tau_evaluates_at_most_twice(self, bound, monkeypatch):
+        # tau on the bound its gradient points past: the first candidate
+        # clamps back to tau, so the search ends after the current tau's
+        # evaluation; np.exp runs once for the anchor and once for that
+        p_a = np.tile([2.0, 0.0], (4, 1))
+        p_s = np.tile([16.0 if bound == "tau_max" else 0.5, 0.0], (4, 1))  # best tau 8, 0.25
+        kw = dict(tau=4.0 if bound == "tau_max" else 0.5, tau_min=0.5, tau_max=4.0, steps=5)
+        expect = self.reference_learn_tau(TauState(**kw), p_a, p_s)
+        calls, exp = [], np.exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        assert learn_tau(TauState(**kw), p_a, p_s).tau == expect == kw["tau"]
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
     def test_clamp_boundary_matches_reference(self, ulps):
@@ -235,9 +261,10 @@ class TestLearnTau:
         assert state.seen == ref.seen
 
     # -1e308 / tau overflows to -inf for tau < 1, so the line search clips
-    # infinite scaled logits. Clipped entries add zeros to the gradient, so
-    # +-inf and 1e308 (es * p_s overflows) leave tau free to move; NaN makes
-    # the discrepancy NaN at every tau, so tau stays, as in the reference
+    # infinite scaled logits, and raises no warning for it. Clipped entries
+    # add zeros to the gradient, so +-inf and 1e308 (es * p_s overflows)
+    # leave tau free to move; NaN makes the discrepancy NaN at every tau, so
+    # tau stays, as in the reference
     SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 1e308, -1e308]
 
     @pytest.mark.parametrize("special", SPECIALS, ids=str)
@@ -251,8 +278,12 @@ class TestLearnTau:
                                        replace=False)] = special
             state = TauState(tau=float(rng.uniform(0.05, 3)), steps=int(rng.integers(1, 8)),
                              logit_clamp=float(rng.choice([20.0, 3.0])))
-            expect = self.reference_learn_tau(state, p_a, p_s)
-            assert learn_tau(state, p_a, p_s).tau == expect
+            # the reference forms es * p_s at clipped entries too, which overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                expect = self.reference_learn_tau(state, p_a, p_s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert learn_tau(state, p_a, p_s).tau == expect
 
     def test_maximum_then_minimum_is_clip(self):
         # evaluate clips with np.maximum and np.minimum instead of np.clip

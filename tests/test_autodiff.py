@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from coca_tta import autodiff as ad
 from coca_tta import models
 from coca_tta.autodiff import SGD, ShapeError, Tape, Tensor
 from coca_tta.models import ModelSpec, build_model, cross_entropy_mean, pretrain
+from oracles import conv2d_full_batch
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -250,6 +252,99 @@ class TestConv2d:
             ad.conv2d(x, w)
             ad.conv2d(x, w, b)
             assert [node.inputs for node in tape._nodes] == [(x, w), (x, w, b)]
+
+
+def chunked_conv2d(x, w, b, g, train):
+    """conv2d's output and the gradients of x and, if ``train``, of w and b,
+    for the upstream gradient g."""
+    tensors = [Tensor(a, requires_grad=i == 0 or train)
+               for i, a in enumerate((x, w, b)) if a is not None]
+    with Tape():
+        out = ad.conv2d(*tensors)
+        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+    return [out.data] + [t.grad for t in tensors if t.requires_grad]
+
+
+class TestChunkedConv:
+    """conv2d builds its columns in batch chunks unless the weight gradient
+    keeps them. tests/oracles.py keeps the kernel that built them for the
+    whole batch at once as the reference."""
+
+    @staticmethod
+    def capacity(c, h=8, w=8):
+        """Samples of c channels whose columns fit in one chunk."""
+        return ad._CHUNK_BYTES // (h * w * 9 * c * 8)
+
+    @staticmethod
+    def case(rng, bsz, cin, cout, h=8, w=8, bias=True):
+        return (rng.standard_normal((bsz, cin, h, w)), rng.standard_normal((cout, cin, 3, 3)),
+                rng.standard_normal(cout) if bias else None,
+                rng.standard_normal((bsz, cout, h, w)))
+
+    @pytest.mark.parametrize("train", [False, True], ids=["frozen", "trainable"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+    @pytest.mark.parametrize("cin", [1, 4, 8, 16])
+    def test_byte_equal_to_full_batch_kernel(self, cin, bias, train):
+        # the models' 8x8 maps at each side of a chunk boundary: the frozen
+        # forward's and the input gradient's (16 channels) boundaries
+        cout = 16
+        rng = np.random.default_rng(cin)
+        sizes = {1, 64} | {k + d for k in (self.capacity(cin), self.capacity(cout))
+                           for d in (-1, 0, 1)}
+        for bsz in sorted(sizes):
+            x, w, b, g = self.case(rng, bsz, cin, cout, bias=bias)
+            ref = conv2d_full_batch(x, w, b, g)
+            got = chunked_conv2d(x, w, b, g, train)
+            expect = [ref[0], ref[1]] + ([ref[2]] + ([ref[3]] if bias else []) if train else [])
+            assert len(got) == len(expect)
+            for i, (a, e) in enumerate(zip(got, expect)):
+                assert a is not None and a.shape == e.shape, (bsz, i)
+                assert a.tobytes() == e.tobytes(), (bsz, i)
+
+    @pytest.mark.parametrize("bsz,cin,cout,h,w", [
+        (64, 24, 2, 8, 8), (15, 16, 2, 8, 8), (486, 2, 1, 5, 3), (61, 2, 16, 5, 3),
+        (403, 24, 2, 2, 9), (607, 24, 3, 1, 1), (29, 24, 2, 16, 16),
+    ])
+    def test_close_to_full_batch_kernel_on_other_shapes(self, bsz, cin, cout, h, w):
+        # chunks change which rows share a GEMM call, and a BLAS may round a
+        # small GEMM or a row block's tail differently, so on these shapes
+        # each value lies within two dot-product error bounds,
+        # 2 * K * eps * (|x| conv |w|), of the whole-batch one, K = 9 * cin + 1
+        rng = np.random.default_rng(bsz)
+        x, w, b, g = self.case(rng, bsz, cin, cout, h, w)
+        ref = conv2d_full_batch(x, w, b, g)
+        scale = conv2d_full_batch(np.abs(x), np.abs(w), np.abs(b), np.abs(g))
+        got = chunked_conv2d(x, w, b, g, train=False)
+        eps = np.finfo(np.float64).eps
+        for a, e, s, k in zip(got, ref, scale, (9 * cin + 1, 9 * cout)):
+            assert np.all(np.abs(a - e) <= 2 * k * eps * s)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["frozen", "trainable"])
+    def test_empty_batch(self, train):
+        # zero samples make an empty output and gradients, and zero weight gradients
+        x, w, b, g = self.case(np.random.default_rng(0), 0, 4, 6)
+        got = chunked_conv2d(x, w, b, g, train)
+        assert [a.shape for a in got] == [g.shape, x.shape] + ([w.shape, b.shape] if train else [])
+        assert all(not a.any() for a in got)
+
+    def test_frozen_forward_and_input_grad_peak_under_4_mib(self):
+        # (64, 8, 8, 8) -> 16 channels with frozen weights: one 1 MiB chunk
+        # of columns at a time, the 0.5 MiB output and upstream gradient, the
+        # 0.25 MiB input gradient and under 0.5 MiB of padded chunk and GEMM
+        # product stay under 4 MiB. Whole-batch columns alone take 2.25 MiB
+        # forward and 4.5 MiB for the input gradient.
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((64, 8, 8, 8)), requires_grad=True)
+        w, b = Tensor(rng.standard_normal((16, 8, 3, 3))), Tensor(rng.standard_normal(16))
+        tracemalloc.start()
+        try:
+            with Tape():
+                ad.backward(ad.tensor_sum(ad.conv2d(x, w, b)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape
+        assert peak <= 4 * 2**20, peak
 
 
 class TestFrozenInputsGetNoGrad:
