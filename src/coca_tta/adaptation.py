@@ -32,11 +32,9 @@ class TauState:
     logit_clamp: float = 20.0
 
     def __post_init__(self):
-        if not math.isfinite(self.tau):
-            raise ValueError(f"tau must be finite, got {self.tau}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        for name in ("step_size", "logit_clamp"):
+        for name in ("tau", "step_size", "logit_clamp"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0 < self.tau_min < self.tau_max:

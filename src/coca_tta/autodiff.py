@@ -24,18 +24,14 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "scalar_div",
     "matmul",
     "linear",
     "conv2d",
     "relu",
-    "exp",
-    "log",
     "reshape",
     "tensor_sum",
     "tensor_mean",
-    "max_last_axis",
     "softmax",
     "logsumexp",
     "batchnorm",
@@ -99,11 +95,13 @@ class Tape:
         self._nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc):
-        _pop_tape(self)
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise RuntimeError("tape stack corrupted: exiting a tape that is not active")
+        _TAPE_STACK.pop()
         return False
 
     def record(self, inputs, output, backward_fn) -> None:
@@ -114,16 +112,6 @@ class Tape:
 
 
 _TAPE_STACK: list[Tape] = []
-
-
-def _push_tape(tape: Tape) -> None:
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape: Tape) -> None:
-    if not _TAPE_STACK or _TAPE_STACK[-1] is not tape:
-        raise RuntimeError("tape stack corrupted: exiting a tape that is not active")
-    _TAPE_STACK.pop()
 
 
 def active_tape() -> Optional[Tape]:
@@ -230,19 +218,6 @@ def mul(a, b) -> Tensor:
     return _record("mul", (a, b), out, bwd)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("div", a, b)
-    out = a.data / b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return _record("div", (a, b), out, bwd)
-
-
 def scalar_div(a, s: float) -> Tensor:
     """Divide a tensor by a python scalar (no gradient w.r.t. the scalar)."""
     a = _as_tensor(a)
@@ -303,26 +278,6 @@ def relu(a) -> Tensor:
     return _record("relu", (a,), out, bwd)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _record("exp", (a,), out, bwd)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.log(a.data)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return _record("log", (a,), out, bwd)
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out = a.data.reshape(shape)
@@ -356,21 +311,6 @@ def tensor_mean(a, axis=None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis) / n, a.shape).copy(),)
 
     return _record("mean", (a,), out, bwd)
-
-
-def max_last_axis(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim < 1:
-        raise ShapeError("max_last_axis: input must have at least one axis")
-    idx = a.data.argmax(axis=-1)
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
-        return (ga,)
-
-    return _record("max_last_axis", (a,), out, bwd)
 
 
 def _softmax_lse(z: np.ndarray):

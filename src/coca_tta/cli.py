@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness, models
@@ -35,7 +36,6 @@ def load_config(path: str, seed_override=None) -> RunConfig:
         doc = json.load(f)
     cfg = validate_config(doc)
     if seed_override is not None:
-        from dataclasses import replace
         cfg = replace(cfg, seed=int(seed_override))
     return cfg
 
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -340,16 +340,20 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None) -> Ru
     models = list(prepare_models(config) if models is None else models)
     if len(models) != len(config.models):
         raise ValueError(f"got {len(models)} models for {len(config.models)} config entries")
+    position: dict[int, int] = {}
     for i, (entry, model) in enumerate(zip(config.models, models)):
         if model.spec != entry.spec:
             raise ValueError(f"model {i} has spec {model.spec}; config entry {i} has {entry.spec}")
+        first = position.setdefault(id(model), i)
+        if first != i:
+            raise ValueError(f"models {first} and {i} are the same object; "
+                             "each config entry needs a model of its own")
 
-    lrs = {id(m): e.lr for m, e in zip(models, config.models)}
     ordered = anchor_select(models)
-
     for m in ordered:
         m.set_trainable(norm_only=True)
-    optimizers = [SGD(m.norm_params(), lr=lrs[id(m)], momentum=0.9) for m in ordered]
+    optimizers = [SGD(m.norm_params(), lr=config.models[position[id(m)]].lr, momentum=0.9)
+                  for m in ordered]
 
     filter_factor = FILTER_FACTOR if config.strategy == "coca_filtered" else None
     tau_states = [TauState(steps=config.tau_steps) for _ in range(len(ordered) - 1)]

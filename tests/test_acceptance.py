@@ -90,16 +90,12 @@ def test_a1_all_ops_match_finite_differences():
         "add": (ad.add, [(4, 5), (4, 5)], {}),
         "sub": (ad.sub, [(4, 5), (4, 5)], {}),
         "mul": (ad.mul, [(4, 5), (4, 5)], {}),
-        "div": (ad.div, [(4, 5), (4, 5)], {"low": 0.5, "high": 2.0}),
         "scalar_div": (lambda a: ad.scalar_div(a, 2.3), [(4, 5)], {}),
-        "exp": (ad.exp, [(4, 5)], {}),
-        "log": (ad.log, [(4, 5)], {"low": 0.1, "high": 3.0}),
         "relu": (ad.relu, [(4, 5)], {"low": 0.2, "high": 2.0}),
         "matmul": (ad.matmul, [(3, 4), (4, 5)], {}),
         "reshape": (lambda a: ad.reshape(a, (5, 4)), [(4, 5)], {}),
         "sum": (lambda a: ad.tensor_sum(a, axis=1), [(4, 5)], {}),
         "mean": (lambda a: ad.tensor_mean(a, axis=0), [(4, 5)], {}),
-        "max_last_axis": (ad.max_last_axis, [(6, 5)], {"low": 0.1, "high": 9.0}),
         "softmax": (ad.softmax, [(4, 5)], {}),
         "logsumexp": (ad.logsumexp, [(4, 5)], {}),
         "conv2d": (ad.conv2d, [(2, 3, 5, 5), (4, 3, 3, 3)], {}),

@@ -109,9 +109,12 @@ class TestLearnTau:
         with pytest.raises(ad.ShapeError, match="learn_tau: shapes"):
             learn_tau(TauState(), np.zeros((2, 3)), np.zeros((2, 4)))
 
-    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"),
+                                     0.0, -0.0, -1.0])
     def test_state_rejects_non_finite_tau(self, tau):
-        with pytest.raises(ValueError):
+        # a start outside [tau_min, tau_max] is allowed, but tau <= 0 would
+        # divide by zero or flip the sign of the scaled logits
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
             TauState(tau=tau)
 
     def test_clamped_rejects_nan(self):

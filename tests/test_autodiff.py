@@ -3,6 +3,7 @@
 import inspect
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,17 +86,8 @@ class TestElementwiseGrads:
     def test_mul_broadcast_column(self):
         check_op(ad.mul, [(4, 5), (4, 1)])
 
-    def test_div(self):
-        check_op(ad.div, [(4, 5), (4, 5)], low=0.5, high=2.0)
-
     def test_scalar_div(self):
         check_op(lambda a: ad.scalar_div(a, 3.7), [(4, 5)])
-
-    def test_exp(self):
-        check_op(ad.exp, [(4, 5)])
-
-    def test_log(self):
-        check_op(ad.log, [(4, 5)], low=0.1, high=3.0)
 
     def test_relu(self):
         # shift inputs away from the kink where the derivative is undefined
@@ -137,10 +129,6 @@ class TestReductionsAndShapes:
 
     def test_mean_axis(self):
         check_op(lambda a: ad.tensor_mean(a, axis=-1), [(4, 5)])
-
-    def test_max_last_axis(self):
-        # ties break the subgradient; random continuous draws avoid them
-        check_op(ad.max_last_axis, [(6, 8)])
 
     def test_softmax(self):
         check_op(ad.softmax, [(4, 5)])
@@ -615,6 +603,16 @@ class TestTapeSemantics:
             with pytest.raises(ShapeError):
                 ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
+    def test_exiting_a_tape_that_is_not_active_raises(self):
+        outer, inner = Tape(), Tape()
+        with outer:
+            inner.__enter__()
+            with pytest.raises(RuntimeError, match="exiting a tape that is not active"):
+                outer.__exit__(None, None, None)
+            assert ad.active_tape() is inner
+            inner.__exit__(None, None, None)
+        assert ad.active_tape() is None
+
 
 class TestSGD:
     def test_single_step(self):
@@ -677,30 +675,26 @@ _ENS = co.ensemble(*np.random.default_rng(9).uniform(-2.0, 3.0, (2, 6, 5)), tau=
 _KEEP = np.array([True, False, True, True, True, False])
 
 
-def node(op, shapes, build, low=-2.0, id=None):
+def node(op, shapes, build, id=None):
     """One node kind the tape records: build(*tensors) records exactly one."""
-    return pytest.param(op, shapes, build, low, id=id or op)
+    return pytest.param(op, shapes, build, id=id or op)
 
 
 NODE_KINDS = [
     node("add", [(4, 5), (5,)], ad.add),
     node("sub", [(4, 5), (4, 1)], ad.sub),
     node("mul", [(4, 5), (4, 5)], ad.mul),
-    node("div", [(4, 5), (5,)], ad.div, low=0.5),
     node("scalar_div", [(4, 5)], lambda a: ad.scalar_div(a, 3.0)),
     node("matmul", [(4, 3), (3, 5)], ad.matmul),
     node("linear", [(4, 3), (3, 5), (5,)], ad.linear),
     node("conv2d", [(2, 3, 5, 4), (4, 3, 3, 3)], ad.conv2d),
     node("conv2d", [(2, 3, 5, 4), (4, 3, 3, 3), (4,)], ad.conv2d, id="conv2d_bias"),
     node("relu", [(4, 5)], ad.relu),
-    node("exp", [(4, 5)], ad.exp),
-    node("log", [(4, 5)], ad.log, low=0.5),
     node("reshape", [(2, 3, 4)], lambda a: ad.reshape(a, (2, -1))),
     node("sum", [(4, 5)], ad.tensor_sum),
     node("sum", [(4, 5)], lambda a: ad.tensor_sum(a, axis=0), id="sum_axis"),
     node("mean", [(4, 5)], ad.tensor_mean),
     node("mean", [(4, 5)], lambda a: ad.tensor_mean(a, axis=-1), id="mean_axis"),
-    node("max_last_axis", [(4, 5)], ad.max_last_axis),
     node("softmax", [(4, 5)], ad.softmax),
     node("logsumexp", [(4, 5)], ad.logsumexp),
     node("batchnorm", [(4, 3, 2, 2), (3,), (3,)], ad.batchnorm),
@@ -731,8 +725,8 @@ class TestGradientOwnership:
         recorded = set(re.findall(r'(?:_record|_normalize)\("(\w+)"', text))
         assert recorded == {p.values[0] for p in NODE_KINDS}
 
-    @pytest.mark.parametrize("op,shapes,build,low", NODE_KINDS)
-    def test_backward_reads_a_read_only_upstream_gradient(self, op, shapes, build, low,
+    @pytest.mark.parametrize("op,shapes,build", NODE_KINDS)
+    def test_backward_reads_a_read_only_upstream_gradient(self, op, shapes, build,
                                                           monkeypatch):
         recorded = []
         record = ad._record
@@ -743,7 +737,7 @@ class TestGradientOwnership:
 
         monkeypatch.setattr(ad, "_record", naming_record)
         rng = np.random.default_rng(2)
-        tensors = [Tensor(rng.uniform(low, 2.0, s), requires_grad=True) for s in shapes]
+        tensors = [Tensor(rng.uniform(-2.0, 2.0, s), requires_grad=True) for s in shapes]
         with Tape() as tape:
             out = build(*tensors)
         assert recorded == [op] and len(tape) == 1
@@ -818,3 +812,26 @@ class TestGradientOwnership:
             loss = ad.add(ad.tensor_sum(x), bad()) if first else ad.add(bad(), ad.tensor_sum(x))
             with pytest.raises(ShapeError, match="accumulate_grad: gradient shape"):
                 ad.backward(loss)
+
+
+# perfbench/tracer.py wraps these by name; TestBenchmarkContract pins them too
+TRACER_OPS = ("matmul", "conv2d", "layernorm", "batchnorm", "logsumexp", "softmax",
+              "add", "mul")
+
+
+def names_taken_from_autodiff(text: str) -> set[str]:
+    """Names that ``text`` reads as ``ad.name``/``autodiff.name`` or imports from autodiff."""
+    used = set(re.findall(r"\b(?:ad|autodiff)\.(\w+)", text))
+    for names in re.findall(r"^from \S*autodiff import (\([^)]*\)|.*)$", text, re.M):
+        used.update(re.findall(r"\w+", names))
+    return used
+
+
+def test_every_public_op_has_a_caller():
+    # an op that no run, test oracle or tracer calls exists only for its own
+    # tests; it is deleted rather than kept up
+    src = Path(ad.__file__).parent
+    texts = [p.read_text() for p in sorted(src.glob("*.py")) if p.name != "autodiff.py"]
+    texts.append((Path(__file__).parent / "oracles.py").read_text())
+    used = names_taken_from_autodiff("\n".join(texts)) | set(TRACER_OPS)
+    assert [name for name in ad.__all__ if name not in used] == []

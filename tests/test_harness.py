@@ -569,6 +569,17 @@ class TestRun:
         with pytest.raises(ValueError, match="config entr"):
             run(cfg, models=models)
 
+    @pytest.mark.parametrize("strategy", ["tent", "coca"])
+    def test_rejects_one_model_passed_twice(self, strategy):
+        # one object would be adapted twice per batch, at one entry's lr
+        base = small_config(strategy=strategy)
+        cfg = replace(base, models=[base.models[0], replace(base.models[0], lr=0.5)])
+        m = build_model(cfg.models[0].spec, seed=0)
+        before = {n: p.data.copy() for n, p in m.params.items()}
+        with pytest.raises(ValueError, match="models 0 and 1 are the same object"):
+            run(cfg, models=[m, m])
+        assert all(np.array_equal(m.params[n].data, a) for n, a in before.items())
+
     def test_source_only_never_updates(self):
         cfg = small_config(strategy="source_only", seed=6)
         models = prepare_models(cfg)
