@@ -1,7 +1,7 @@
 """Cross-model co-learning for test-time adaptation, with a desk-scale benchmark harness."""
 
 from .adaptation import (CascadeOutput, EnsembleOutput, LossBreakdown, LossMasks,
-                         TauState, ensemble, learn_tau, multi_model_step)
+                         ensemble, learn_tau, multi_model_step)
 from .autodiff import SGD, Tape, Tensor, backward
 from .harness import (ModelEntry, MetricsRecord, RunConfig, RunReport,
                       evaluate_accuracy, mix64, run)

@@ -21,30 +21,20 @@ from .models import ModelHandle, forward_logits
 from .record import Record
 
 
-@dataclass
-class TauState:
-    """Learnable temperature for scaling auxiliary logits."""
-    tau: float = 1.0
-    step_size: float = 1e-2
-    steps: int = 5
-    tau_min: float = 1e-2
-    tau_max: float = 1e3
-    logit_clamp: float = 20.0
+TAU_STEPS = 5          # line-search iterations on tau per batch
+TAU_MIN, TAU_MAX = 1e-2, 1e3
+LOGIT_CLAMP = 20.0     # the discrepancy clips logits to [-LOGIT_CLAMP, LOGIT_CLAMP]
 
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        for name in ("tau", "step_size", "logit_clamp"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
-        if not 0 < self.tau_min < self.tau_max:
-            raise ValueError(f"need 0 < tau_min < tau_max, got tau_min={self.tau_min}, "
-                             f"tau_max={self.tau_max}")
 
-    def clamped(self, tau: float) -> float:
-        if math.isnan(tau):
-            raise ValueError("tau candidate is NaN")
-        return float(min(max(tau, self.tau_min), self.tau_max))
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
+
+
+def _clamp_tau(tau: float) -> float:
+    if math.isnan(tau):
+        raise ValueError("tau candidate is NaN")
+    return float(min(max(tau, TAU_MIN), TAU_MAX))
 
 
 @dataclass
@@ -75,7 +65,7 @@ class LossBreakdown:
 
 
 def _tau_grad(p_s: np.ndarray, scaled: Optional[np.ndarray], es: np.ndarray,
-              d: np.ndarray, tau: float, clamp: float) -> float:
+              d: np.ndarray, tau: float) -> float:
     """d/dtau of the batch-mean discrepancy with clip treated as a hard gate.
 
     es = exp(clip(p_s / tau)) and d = ea - es are those of the current tau;
@@ -83,30 +73,33 @@ def _tau_grad(p_s: np.ndarray, scaled: Optional[np.ndarray], es: np.ndarray,
     entries add exact zeros and their product is never formed, so a logit
     whose es * p_s would overflow adds nothing and raises no warning.
     """
-    terms = np.sign(d) * es   # |es| <= exp(clamp)
+    terms = np.sign(d) * es   # |es| <= exp(LOGIT_CLAMP)
     if scaled is None:
         np.multiply(terms, p_s, out=terms)
     else:
         terms = np.multiply(terms, p_s, out=np.zeros_like(terms),
-                            where=np.abs(scaled) < clamp)
+                            where=np.abs(scaled) < LOGIT_CLAMP)
     return float(terms.sum() / (tau * tau * d.shape[0]))
 
 
-def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
-    """Run K descent steps on tau against detached model outputs.
+def learn_tau(tau: float, p_a: np.ndarray, p_s: np.ndarray, steps: int = TAU_STEPS) -> float:
+    """Run ``steps`` descent steps on tau against detached model outputs.
 
     The discrepancy gradient sets the move direction; the trial move is a
-    trust-region step proportional to the current tau (scaled by
-    step_size relative to its 1e-2 default) and is halved until the
-    discrepancy decreases. Exponential-space gradients span many orders
-    of magnitude, so a fixed-length gradient step either stalls or
+    trust-region step of the current tau (half of it downward), halved
+    until the discrepancy decreases. Exponential-space gradients span many
+    orders of magnitude, so a fixed-length gradient step either stalls or
     overshoots; the relative trust region keeps every step productive.
+    Returns the new tau, clamped to [TAU_MIN, TAU_MAX].
     """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    _check_tau(tau)
     p_a = np.asarray(p_a, dtype=np.float64)
     p_s = np.asarray(p_s, dtype=np.float64)
     if p_a.shape != p_s.shape:
         raise ad.ShapeError(f"learn_tau: shapes {p_a.shape} and {p_s.shape} differ")
-    clamp = state.logit_clamp
+    clamp = LOGIT_CLAMP
     ea = np.exp(np.clip(p_a, -clamp, clamp))
     # division is monotone, so amax / tau < clamp puts every |p_s / tau| inside
     # the clamp and the clip is the identity; a NaN or infinite amax fails it
@@ -127,25 +120,23 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
         d = ea - es
         return scaled, es, d, float(np.abs(d).sum() / p_a.shape[0])
 
-    trust = state.step_size / 1e-2  # default step_size gives a full-tau trust region
-    tau = state.tau
     # the current tau's evaluation is carried across iterations: it changes
     # only when a candidate is accepted, and then it is that candidate's
-    cur = evaluate(tau) if state.steps > 0 else None
+    cur = evaluate(tau) if steps > 0 else None
     # An iteration depends only on tau, so once one accepts nothing every
     # later one would repeat it exactly, and the search ends.
-    for _ in range(state.steps):
+    for _ in range(steps):
         scaled, es, d, cur_loss = cur
-        g = _tau_grad(p_s, scaled, es, d, tau, clamp)
+        g = _tau_grad(p_s, scaled, es, d, tau)
         # a zero or non-finite g has no direction; a NaN discrepancy (a NaN
         # logit) is NaN at every tau, so no candidate could beat it
         if g == 0.0 or not math.isfinite(g) or math.isnan(cur_loss):
             break
         direction = -np.sign(g)
-        delta = trust * (tau if direction > 0 else 0.5 * tau)
+        delta = tau if direction > 0 else 0.5 * tau
         before = tau
         while delta > 1e-12 * tau:
-            cand = state.clamped(tau + direction * delta)
+            cand = _clamp_tau(tau + direction * delta)
             # tau is the bound the step points past: its loss is cur_loss, and
             # every smaller step clamps to it too
             if cand == tau:
@@ -157,8 +148,7 @@ def learn_tau(state: TauState, p_a: np.ndarray, p_s: np.ndarray) -> TauState:
             delta *= 0.5
         if tau == before:
             break
-    state.tau = state.clamped(tau)
-    return state
+    return _clamp_tau(tau)
 
 
 def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
@@ -171,8 +161,7 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
     from its own inputs with the same expression, so it is a function of
     them and sees bit-equal logits.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    _check_tau(tau)
     p_a = np.asarray(p_a, dtype=np.float64)
     p_s = np.asarray(p_s, dtype=np.float64)
     if p_a.shape != p_s.shape:
@@ -307,16 +296,16 @@ def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, ens: EnsembleOutput,
     return total, breakdown
 
 
-def coca_step(anchor: ModelHandle, auxiliary: ModelHandle, tau_state: TauState,
+def coca_step(anchor: ModelHandle, auxiliary: ModelHandle, tau: float,
               batch: np.ndarray, optimizers: Sequence[SGD],
               filter_factor: Optional[float] = None, lam_col: float = 1.0,
               masks: Optional[LossMasks] = None,
-              collapse_threshold: float = 0.0
+              collapse_threshold: float = 0.0, tau_steps: int = TAU_STEPS
               ) -> tuple[EnsembleOutput, LossBreakdown]:
     """Two-model co-adaptation: multi_model_step with a single pairing."""
-    out = multi_model_step([anchor, auxiliary], [tau_state], batch, optimizers,
+    out = multi_model_step([anchor, auxiliary], [tau], batch, optimizers,
                            filter_factor=filter_factor, lam_col=lam_col, masks=masks,
-                           collapse_threshold=collapse_threshold)
+                           collapse_threshold=collapse_threshold, tau_steps=tau_steps)
     return out.ensemble, out.breakdown
 
 
@@ -350,12 +339,13 @@ class CascadeOutput:
 
 
 def multi_model_step(models_desc: Sequence[ModelHandle],
-                     tau_states: Sequence[TauState], batch: np.ndarray,
+                     taus: Sequence[float], batch: np.ndarray,
                      optimizers: Sequence[SGD],
                      filter_factor: Optional[float] = None,
                      lam_col: float = 1.0,
                      masks: Optional[LossMasks] = None,
-                     collapse_threshold: float = 0.0) -> CascadeOutput:
+                     collapse_threshold: float = 0.0,
+                     tau_steps: int = TAU_STEPS) -> CascadeOutput:
     """One online adaptation step for >= 1 models ranked descending by size.
 
     One model has no pairing: its loss is Tent's, the mean entropy of its own
@@ -370,16 +360,19 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
     the auxiliary is treated as collapsed and that pairing's ensemble
     falls back to its anchor for the batch.
 
-    A step that _step_if_finite skips also puts each tau back to its value
-    before the step and sets skipped; its predictions and losses are reported.
+    taus holds one tau per pairing, innermost first; the learned ones are
+    returned in CascadeOutput.taus. A step that _step_if_finite skips
+    returns the taus it was given and sets skipped; its predictions and
+    losses are reported.
     """
     k = len(models_desc)
     if k < 1:
         raise ValueError("multi_model_step requires >= 1 model, got 0")
-    if len(tau_states) != k - 1:
-        raise ValueError(f"expected {k - 1} tau states, got {len(tau_states)}")
+    if len(taus) != k - 1:
+        raise ValueError(f"expected {k - 1} taus, got {len(taus)}")
+    if len(optimizers) != k:
+        raise ValueError(f"expected {k} optimizers, one per model, got {len(optimizers)}")
     masks = masks or LossMasks()
-    taus_before = [s.tau for s in tau_states]
 
     with Tape():
         logits = [forward_logits(m, Tensor(batch)) for m in models_desc]
@@ -387,11 +380,10 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
         # build pairings bottom-up: innermost is (M_{k-1} anchor, M_k auxiliary)
         aux_t = logits[-1]
         levels = []  # (anchor_t, aux_t, EnsembleOutput)
-        for level, i in enumerate(range(k - 2, -1, -1)):
-            state = tau_states[level]
+        for tau, i in zip(taus, range(k - 2, -1, -1)):
             anchor_t = logits[i]
-            learn_tau(state, anchor_t.data, aux_t.data)
-            ens = ensemble(anchor_t.data, aux_t.data, state.tau)
+            tau = learn_tau(tau, anchor_t.data, aux_t.data, tau_steps)
+            ens = ensemble(anchor_t.data, aux_t.data, tau)
             if collapse_threshold > 0 and agreement_rate(
                     anchor_t.data, aux_t.data) < collapse_threshold:
                 ens = drop_auxiliary(ens)
@@ -400,6 +392,7 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
                 aux_t = anchor_t if ens.aux_dropped else _ensemble_tensor(anchor_t, aux_t, ens)
 
         top = levels[-1][2] if levels else None
+        learned = [ens.tau for _, _, ens in levels]
         if filter_factor is not None:  # EATA-style: keep rows below factor * ln C
             z = logits[0].data if top is None else top.p_e
             _, lse, qz = _softmax_stats(z)
@@ -408,9 +401,8 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
             keep = np.ones(len(batch), dtype=bool)
 
         preds = [lg.data.argmax(axis=1) for lg in logits]
-        taus = [s.tau for s in tau_states]
         if not keep.any():
-            return CascadeOutput(preds, top, taus,
+            return CascadeOutput(preds, top, learned,
                                  LossBreakdown(0.0, 0.0, 0.0, 0.0, kept_frac=0.0))
 
         total = None
@@ -428,7 +420,5 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
             agg.l_total += lvl.l_total
         ad.backward(total)
     if not _step_if_finite(agg.l_total, batch, models_desc, optimizers):
-        for state, tau in zip(tau_states, taus_before):
-            state.tau = tau
-        return CascadeOutput(preds, top, taus_before, agg, skipped=True)
-    return CascadeOutput(preds, top, taus, agg)
+        return CascadeOutput(preds, top, list(taus), agg, skipped=True)
+    return CascadeOutput(preds, top, learned, agg)

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .adaptation import LossBreakdown, LossMasks, TauState, multi_model_step
+from .adaptation import TAU_STEPS, LossBreakdown, LossMasks, multi_model_step
 from .autodiff import SGD, Tensor
 from .models import (ModelHandle, ModelSpec, anchor_select, build_model,
                      forward_logits, pretrain)
@@ -69,7 +69,7 @@ class RunConfig(Record):
     strategy: str = "coca"
     n_per_class: int = 400
     lam_col: float = 1.0
-    tau_steps: int = 5
+    tau_steps: int = TAU_STEPS
     loss_masks: LossMasks = field(default_factory=LossMasks)
     collapse_threshold: float = 0.4
     seed: int = 0
@@ -356,7 +356,7 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None) -> Ru
                   for m in ordered]
 
     filter_factor = FILTER_FACTOR if config.strategy == "coca_filtered" else None
-    tau_states = [TauState(steps=config.tau_steps) for _ in range(len(ordered) - 1)]
+    taus = [1.0] * (len(ordered) - 1)
 
     records: list[MetricsRecord] = []
     for b, (xb, yb) in enumerate(build_test_stream(config)):
@@ -367,12 +367,13 @@ def run(config: RunConfig, models: Optional[Sequence[ModelHandle]] = None) -> Ru
             preds = [multi_model_step([m], [], xb, [opt]).y_hat
                      for m, opt in zip(ordered, optimizers)]
         else:
-            out = multi_model_step(ordered, tau_states, xb, optimizers,
+            out = multi_model_step(ordered, taus, xb, optimizers,
                                    filter_factor=filter_factor, lam_col=config.lam_col,
                                    masks=config.loss_masks,
-                                   collapse_threshold=config.collapse_threshold)
-            preds, comb, losses = out.per_model_preds, out.y_hat, out.breakdown
-            tau = out.taus[-1]  # topmost pairing
+                                   collapse_threshold=config.collapse_threshold,
+                                   tau_steps=config.tau_steps)
+            preds, comb, losses, taus = out.per_model_preds, out.y_hat, out.breakdown, out.taus
+            tau = taus[-1]  # topmost pairing
         records.append(MetricsRecord(
             batch=b, n_samples=len(yb), acc_per_model=[evaluate_accuracy(p, yb) for p in preds],
             acc_combined=None if comb is None else evaluate_accuracy(comb, yb),

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from coca_tta import autodiff as ad
-from coca_tta.adaptation import (LossMasks, TauState, coca_step, ensemble,
-                                 entropy_rows, learn_tau)
+from coca_tta.adaptation import (LossMasks, coca_step, ensemble, entropy_rows,
+                                 learn_tau)
 from coca_tta.autodiff import SGD, Tape, Tensor
 from coca_tta.cli import main as cli_main
 from coca_tta.harness import (MASK_NAMES, ModelEntry, RunConfig, _pretrain_job,
@@ -146,22 +146,20 @@ def test_a2_tau_tracks_grid_minimizer():
         k = rng.uniform(1.0, 4.0)
         p_s = p_a * k + rng.standard_normal((64, 8)) * 0.1
         oracle = grid_minimizer(p_a, p_s)
-        state = TauState(steps=5)
-        learn_tau(state, p_a, p_s)
-        if abs(state.tau - oracle) / oracle < 0.15:
+        tau = learn_tau(1.0, p_a, p_s, steps=5)
+        if abs(tau - oracle) / oracle < 0.15:
             hits += 1
 
     z = rng.standard_normal((64, 8)) * 3.0
-    s_same = TauState(steps=50)
-    learn_tau(s_same, z, z)
-    s_two = TauState(steps=50)
-    learn_tau(s_two, np.tile([2.0, 0.0], (8, 1)), np.tile([4.0, 0.0], (8, 1)))
+    tau_same = learn_tau(1.0, z, z, steps=50)
+    tau_two = learn_tau(1.0, np.tile([2.0, 0.0], (8, 1)), np.tile([4.0, 0.0], (8, 1)),
+                        steps=50)
 
-    ok = (hits >= 0.9 * n and abs(s_same.tau - 1.0) < 0.01
-          and abs(s_two.tau - 2.0) < 0.02)
+    ok = (hits >= 0.9 * n and abs(tau_same - 1.0) < 0.01
+          and abs(tau_two - 2.0) < 0.02)
     print(f"A2 temperature learning: {'PASS' if ok else 'FAIL'} "
-          f"(grid hits {hits}/{n}, identical tau={s_same.tau:.4f}, "
-          f"doubled tau={s_two.tau:.4f})")
+          f"(grid hits {hits}/{n}, identical tau={tau_same:.4f}, "
+          f"doubled tau={tau_two:.4f})")
     assert ok
 
 
@@ -298,7 +296,7 @@ def test_a9_lam_zero_equals_sum_of_entropy_losses():
         m.set_trainable(norm_only=True)
         pair.append(m)
     opts = [SGD(m.norm_params(), lr=0.0) for m in pair]
-    _, bd = coca_step(pair[0], pair[1], TauState(), batch, opts, lam_col=0.0)
+    _, bd = coca_step(pair[0], pair[1], 1.0, batch, opts, lam_col=0.0)
     expected = 0.0
     for m in pair:
         with Tape():

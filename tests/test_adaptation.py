@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coca_tta import adaptation as co
 from coca_tta import autodiff as ad
-from coca_tta.adaptation import (LossMasks, TauState, agreement_rate, coca_step,
+from coca_tta.adaptation import (LossMasks, agreement_rate, coca_step,
                                  drop_auxiliary, ensemble, entropy_rows, learn_tau,
                                  multi_model_step)
 from coca_tta.autodiff import SGD, Tape, Tensor
@@ -29,32 +29,29 @@ def entropy_np(z):
     return -(p * np.log(p)).sum(axis=-1)
 
 
-class CountingTauState(TauState):
-    """A TauState that records every tau the line search clamps: each
-    candidate it evaluates, then the final value."""
+@pytest.fixture
+def clamp_calls(monkeypatch):
+    """Every tau the line search clamps: each candidate it evaluates, then
+    the final value, as seen by a recording wrapper around _clamp_tau."""
+    seen, clamp = [], co._clamp_tau
 
-    def __post_init__(self):
-        super().__post_init__()
-        self.seen = []
+    def recording_clamp(tau):
+        seen.append(tau)
+        return clamp(tau)
 
-    def clamped(self, tau):
-        self.seen.append(tau)
-        return super().clamped(tau)
+    monkeypatch.setattr(co, "_clamp_tau", recording_clamp)
+    return seen
 
 
 class TestLearnTau:
     def test_identical_logits_keep_tau_one(self):
         z = np.random.default_rng(1).standard_normal((64, 8)) * 3
-        state = TauState(steps=50)
-        learn_tau(state, z, z)
-        assert abs(state.tau - 1.0) < 0.01
+        assert abs(learn_tau(1.0, z, z, steps=50) - 1.0) < 0.01
 
     def test_doubled_logits_drive_tau_to_two(self):
         p_a = np.tile([2.0, 0.0], (4, 1))
         p_s = np.tile([4.0, 0.0], (4, 1))
-        state = TauState(steps=50)
-        learn_tau(state, p_a, p_s)
-        assert abs(state.tau - 2.0) < 0.02
+        assert abs(learn_tau(1.0, p_a, p_s, steps=50) - 2.0) < 0.02
 
     def test_matches_grid_oracle(self):
         # scaled auxiliary logits: the K-step solution should land near the
@@ -73,65 +70,49 @@ class TestLearnTau:
                 i = int(np.argmin(d))
                 if best is None or d[i] < best[1]:
                     best = (chunk[i], d[i])
-            state = TauState(steps=5)
-            learn_tau(state, p_a, p_s)
-            if abs(state.tau - best[0]) / best[0] < 0.15:
+            tau = learn_tau(1.0, p_a, p_s, steps=5)
+            if abs(tau - best[0]) / best[0] < 0.15:
                 hits += 1
         assert hits >= 23
 
     def test_respects_bounds(self):
-        state = TauState(steps=50, tau_min=0.5, tau_max=1.5)
-        learn_tau(state, np.tile([2.0, 0.0], (4, 1)), np.tile([8.0, 0.0], (4, 1)))
-        assert 0.5 <= state.tau <= 1.5
+        # the best taus are 2 * TAU_MAX and TAU_MIN / 2: tau stops on the bound
+        p_a = np.tile([2.0, 0.0], (4, 1))
+        assert learn_tau(300.0, p_a, p_a * (2 * co.TAU_MAX), steps=50) == co.TAU_MAX
+        assert learn_tau(1.0, p_a, p_a * (co.TAU_MIN / 2), steps=50) == co.TAU_MIN
 
     def test_zero_steps_is_identity(self):
-        state = TauState(steps=0)
-        learn_tau(state, np.ones((4, 3)), 2 * np.ones((4, 3)))
-        assert state.tau == 1.0
+        assert learn_tau(1.0, np.ones((4, 3)), 2 * np.ones((4, 3)), steps=0) == 1.0
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="steps must be >= 0"):
-            TauState(steps=-1)
-
-    @pytest.mark.parametrize("name", ["step_size", "logit_clamp"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_bad_search_scale(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
-            TauState(**{name: value})
-
-    @pytest.mark.parametrize("tau_min,tau_max", [(0.0, 1e3), (-1.0, 1e3), (5.0, 5.0),
-                                                 (10.0, 1.0), (float("nan"), 1e3)])
-    def test_rejects_bad_tau_range(self, tau_min, tau_max):
-        with pytest.raises(ValueError, match="tau_min"):
-            TauState(tau_min=tau_min, tau_max=tau_max)
+            learn_tau(1.0, np.ones((4, 3)), np.ones((4, 3)), steps=-1)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ad.ShapeError, match="learn_tau: shapes"):
-            learn_tau(TauState(), np.zeros((2, 3)), np.zeros((2, 4)))
+            learn_tau(1.0, np.zeros((2, 3)), np.zeros((2, 4)))
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"),
                                      0.0, -0.0, -1.0])
     def test_state_rejects_non_finite_tau(self, tau):
-        # a start outside [tau_min, tau_max] is allowed, but tau <= 0 would
+        # a start outside [TAU_MIN, TAU_MAX] is allowed, but tau <= 0 would
         # divide by zero or flip the sign of the scaled logits
         with pytest.raises(ValueError, match="tau must be finite and > 0"):
-            TauState(tau=tau)
+            learn_tau(tau, np.ones((4, 3)), np.ones((4, 3)))
 
     def test_clamped_rejects_nan(self):
-        with pytest.raises(ValueError):
-            TauState().clamped(float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            co._clamp_tau(float("nan"))
 
     @pytest.mark.parametrize("model", ["anchor", "auxiliary"])
-    def test_nan_batch_skips_iterations_and_keeps_tau(self, model):
+    def test_nan_batch_skips_iterations_and_keeps_tau(self, model, clamp_calls):
         # a NaN logit makes the discrepancy NaN at every tau: each iteration
         # is skipped without trying a candidate, as for a zero gradient
         rng = np.random.default_rng(3)
         p_a, p_s = rng.standard_normal((2, 8, 4))
         (p_a if model == "anchor" else p_s)[5, 2] = np.nan
-        state = CountingTauState(tau=1.7, steps=5)
-        learn_tau(state, p_a, p_s)
-        assert state.tau == 1.7
-        assert state.seen == [1.7]   # the final clamp only
+        assert learn_tau(1.7, p_a, p_s, steps=5) == 1.7
+        assert clamp_calls == [1.7]   # the final clamp only
 
     def test_overflowing_logits_leave_tau_free_to_move(self):
         # es * p_s overflows for +-1e308; those entries are clipped and must
@@ -140,10 +121,9 @@ class TestLearnTau:
         p_a = rng.standard_normal((16, 6))
         p_s = 2 * p_a
         p_s[3, 1], p_s[9, 4] = 1e308, -1e308
-        state = TauState(tau=1.0, steps=5)
         with np.errstate(over="ignore", invalid="ignore"):
-            learn_tau(state, p_a, p_s)
-        assert abs(state.tau - 2.0) < 0.05
+            tau = learn_tau(1.0, p_a, p_s, steps=5)
+        assert abs(tau - 2.0) < 0.05
 
     def test_overflowing_logits_raise_no_warning(self):
         # a clipped entry's es * p_s is never formed, so a 1e308 logit
@@ -152,17 +132,24 @@ class TestLearnTau:
         p_a = rng.standard_normal((16, 6))
         p_s = 2 * p_a
         p_s[3, 1], p_s[9, 4] = 1e308, -1e308
-        state = TauState(tau=1.0, steps=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            learn_tau(state, p_a, p_s)
-        assert abs(state.tau - 2.0) < 0.05
+            tau = learn_tau(1.0, p_a, p_s, steps=5)
+        assert abs(tau - 2.0) < 0.05
 
     @staticmethod
-    def reference_learn_tau(state, p_a, p_s):
-        """The line search as first written: every discrepancy recomputed."""
-        clamp = state.logit_clamp
+    def reference_learn_tau(tau, p_a, p_s, steps):
+        """The line search as first written: every discrepancy recomputed.
+
+        Returns the final tau and every tau it clamped: each candidate it
+        evaluated, then the final value.
+        """
+        clamp, seen = co.LOGIT_CLAMP, []
         ea = np.exp(np.clip(p_a, -clamp, clamp))
+
+        def clamped(t):
+            seen.append(t)
+            return float(min(max(t, co.TAU_MIN), co.TAU_MAX))
 
         def loss(tau):
             with np.errstate(over="ignore"):
@@ -177,40 +164,47 @@ class TestLearnTau:
             terms = np.where(np.abs(scaled) < clamp, np.sign(ea - es) * es * p_s, 0.0)
             return float(terms.sum() / (tau * tau * ea.shape[0]))
 
-        tau = state.tau
-        for _ in range(state.steps):
+        for _ in range(steps):
             g = grad(tau)
             if g == 0.0 or not np.isfinite(g):
                 continue
             direction = -np.sign(g)
-            delta = (state.step_size / 1e-2) * (tau if direction > 0 else 0.5 * tau)
+            delta = tau if direction > 0 else 0.5 * tau
             cur = loss(tau)
             while delta > 1e-12 * tau:
-                cand = state.clamped(tau + direction * delta)
+                cand = clamped(tau + direction * delta)
                 if loss(cand) < cur:
                     tau = cand
                     break
                 delta *= 0.5
-        return state.clamped(tau)
+        return clamped(tau), seen
+
+    @staticmethod
+    def random_case(rng, min_steps):
+        """Correlated logits of random shape and scale, a start tau and a step
+        count in [min_steps, 10). Half the cases are scaled 7x, so the clip
+        at LOGIT_CLAMP often binds."""
+        n, c = rng.integers(1, 40), rng.integers(2, 12)
+        p_a = rng.standard_normal((n, c)) * rng.uniform(0.1, 8)
+        p_s = p_a * rng.uniform(-3, 5) + rng.standard_normal((n, c)) * rng.uniform(0, 4)
+        scale = rng.choice([1.0, 7.0])
+        return p_a * scale, p_s * scale, float(rng.uniform(0.05, 20)), int(rng.integers(min_steps, 10))
 
     def test_matches_reference_line_search_exactly(self):
         rng = np.random.default_rng(11)
+        clipped = 0
         for i in range(300):
-            n, c = rng.integers(1, 40), rng.integers(2, 12)
-            p_a = rng.standard_normal((n, c)) * rng.uniform(0.1, 8)
-            p_s = p_a * rng.uniform(-3, 5) + rng.standard_normal((n, c)) * rng.uniform(0, 4)
+            p_a, p_s, tau, steps = self.random_case(rng, 0)
             if i % 10 == 0:
                 p_s = p_a.copy()
-            state = TauState(tau=float(rng.uniform(0.05, 20)),
-                             step_size=float(rng.choice([1e-2, 5e-2])),
-                             steps=int(rng.integers(0, 10)),
-                             tau_max=float(rng.choice([1e3, 2.0])),
-                             logit_clamp=float(rng.choice([20.0, 3.0])))
+            clipped += np.abs(p_s).max() / tau >= co.LOGIT_CLAMP
             for _ in range(2):
-                expect = self.reference_learn_tau(state, p_a, p_s)
-                assert learn_tau(state, p_a, p_s).tau == expect
+                expect, _ = self.reference_learn_tau(tau, p_a, p_s, steps)
+                tau = learn_tau(tau, p_a, p_s, steps)
+                assert tau == expect
+        assert clipped >= 50   # the clip path, not only the clip-free one
 
-    def test_evaluates_the_reference_candidates(self):
+    def test_evaluates_the_reference_candidates(self, clamp_calls):
         # the clip-free path is taken only where the clip is the identity, so
         # every gradient sign, and with it every candidate, is the reference's.
         # The search tries the reference's first candidates: it stops where the
@@ -218,26 +212,22 @@ class TestLearnTau:
         # tau sits on. The final clamps match.
         rng = np.random.default_rng(13)
         for _ in range(100):
-            n, c = rng.integers(1, 40), rng.integers(2, 12)
-            p_a = rng.standard_normal((n, c)) * rng.uniform(0.1, 8)
-            p_s = p_a * rng.uniform(-3, 5) + rng.standard_normal((n, c)) * rng.uniform(0, 4)
-            kw = dict(tau=float(rng.uniform(0.05, 20)), steps=int(rng.integers(1, 10)),
-                      logit_clamp=float(rng.choice([20.0, 3.0])))
-            ref, state = CountingTauState(**kw), CountingTauState(**kw)
-            expect = self.reference_learn_tau(ref, p_a, p_s)
-            assert learn_tau(state, p_a, p_s).tau == expect
-            *cands, final = state.seen
-            assert cands == ref.seen[:len(cands)] and final == ref.seen[-1]
+            p_a, p_s, tau, steps = self.random_case(rng, 1)
+            expect, ref_seen = self.reference_learn_tau(tau, p_a, p_s, steps)
+            clamp_calls.clear()
+            assert learn_tau(tau, p_a, p_s, steps) == expect
+            *cands, final = clamp_calls
+            assert cands == ref_seen[:len(cands)] and final == ref_seen[-1]
 
     @pytest.mark.parametrize("bound", ["tau_min", "tau_max"])
     def test_pinned_tau_evaluates_at_most_twice(self, bound, monkeypatch):
         # tau on the bound its gradient points past: the first candidate
         # clamps back to tau, so the search ends after the current tau's
         # evaluation; np.exp runs once for the anchor and once for that
+        tau = co.TAU_MAX if bound == "tau_max" else co.TAU_MIN
         p_a = np.tile([2.0, 0.0], (4, 1))
-        p_s = np.tile([16.0 if bound == "tau_max" else 0.5, 0.0], (4, 1))  # best tau 8, 0.25
-        kw = dict(tau=4.0 if bound == "tau_max" else 0.5, tau_min=0.5, tau_max=4.0, steps=5)
-        expect = self.reference_learn_tau(TauState(**kw), p_a, p_s)
+        p_s = p_a * (8 * tau if bound == "tau_max" else tau / 4)   # best tau 8x, 1/4x
+        expect, _ = self.reference_learn_tau(tau, p_a, p_s, 5)
         calls, exp = [], np.exp
 
         def counting_exp(*args, **kwargs):
@@ -245,23 +235,21 @@ class TestLearnTau:
             return exp(*args, **kwargs)
 
         monkeypatch.setattr(np, "exp", counting_exp)
-        assert learn_tau(TauState(**kw), p_a, p_s).tau == expect == kw["tau"]
+        assert learn_tau(tau, p_a, p_s, steps=5) == expect == tau
         assert len(calls) <= 2
 
     @pytest.mark.parametrize("ulps", [-1, 0, 1])
-    def test_clamp_boundary_matches_reference(self, ulps):
+    def test_clamp_boundary_matches_reference(self, ulps, clamp_calls):
         # max|p_s| / tau is the clamp exactly (0) or one ulp either side. At
         # equality the largest entry is clipped: it leaves the gradient, whose
         # sign it would flip, so only the clip path matches the reference
-        amax = 6.0 if ulps == 0 else float(np.nextafter(6.0, ulps * np.inf))
-        assert np.sign(amax / 2.0 - 3.0) == ulps   # dividing by 2 is exact
-        p_a = np.array([[2.5, 2.0]])
+        amax = 40.0 if ulps == 0 else float(np.nextafter(40.0, ulps * np.inf))
+        assert np.sign(amax / 2.0 - co.LOGIT_CLAMP) == ulps   # dividing by 2 is exact
+        p_a = np.array([[19.5, 2.0]])
         p_s = np.array([[amax, 0.5]])
-        kw = dict(tau=2.0, steps=3, logit_clamp=3.0)
-        ref, state = CountingTauState(**kw), CountingTauState(**kw)
-        expect = self.reference_learn_tau(ref, p_a, p_s)
-        assert learn_tau(state, p_a, p_s).tau == expect
-        assert state.seen == ref.seen
+        expect, ref_seen = self.reference_learn_tau(2.0, p_a, p_s, 3)
+        assert learn_tau(2.0, p_a, p_s, steps=3) == expect
+        assert clamp_calls == ref_seen
 
     # -1e308 / tau overflows to -inf for tau < 1, so the line search clips
     # infinite scaled logits, and raises no warning for it. Clipped entries
@@ -279,14 +267,13 @@ class TestLearnTau:
             p_s = p_a * rng.uniform(-3, 5) + rng.standard_normal((n, c))
             p_s.reshape(-1)[rng.choice(n * c, size=rng.integers(1, n * c + 1),
                                        replace=False)] = special
-            state = TauState(tau=float(rng.uniform(0.05, 3)), steps=int(rng.integers(1, 8)),
-                             logit_clamp=float(rng.choice([20.0, 3.0])))
+            tau, steps = float(rng.uniform(0.05, 3)), int(rng.integers(1, 8))
             # the reference forms es * p_s at clipped entries too, which overflows
             with np.errstate(over="ignore", invalid="ignore"):
-                expect = self.reference_learn_tau(state, p_a, p_s)
+                expect, _ = self.reference_learn_tau(tau, p_a, p_s, steps)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert learn_tau(state, p_a, p_s).tau == expect
+                assert learn_tau(tau, p_a, p_s, steps) == expect
 
     def test_maximum_then_minimum_is_clip(self):
         # evaluate clips with np.maximum and np.minimum instead of np.clip
@@ -316,8 +303,14 @@ class TestEnsemble:
         assert np.abs(out.p_e.max(axis=1) - p_a.max(axis=1)).max() < 1e-9
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
             ensemble(np.ones((2, 2)), np.ones((2, 2)), tau=0.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tau(self, tau):
+        # NaN made every p_e entry NaN; inf dropped the auxiliary's logits
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            ensemble(np.ones((2, 2)), np.ones((2, 2)), tau=tau)
 
     def test_argmax_tie_takes_lowest_index(self):
         out = ensemble(np.array([[2.0, 2.0]]), np.array([[2.0, 2.0]]), tau=1.0)
@@ -400,7 +393,7 @@ class TestLossTerms:
         anchor, aux = tiny_pair(seed=6)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
         batch = np.random.default_rng(6).standard_normal((64, 6)) * 2
-        ens, bd = coca_step(anchor, aux, TauState(), batch, opts, filter_factor=0.8)
+        ens, bd = coca_step(anchor, aux, 1.0, batch, opts, filter_factor=0.8)
         keep = entropy_np(ens.p_e) < 0.8 * np.log(4)
         assert bd.kept_frac == keep.mean()
         assert 0 < keep.sum() < 64
@@ -520,7 +513,7 @@ class TestFusedObjective:
 
         monkeypatch.setattr(ad, "backward", counting_backward)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
-        coca_step(anchor, aux, TauState(), batch, opts)
+        coca_step(anchor, aux, 1.0, batch, opts)
         assert seen == [forward_nodes + 1]
 
 
@@ -543,7 +536,7 @@ class TestCocaStep:
         anchor, aux = tiny_pair()
         before = {n: p.data.copy() for n, p in {**anchor.params, **aux.params}.items()}
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
-        coca_step(anchor, aux, TauState(), self.batch(), opts)
+        coca_step(anchor, aux, 1.0, self.batch(), opts)
         after = {**anchor.params, **aux.params}
         for name, arr in before.items():
             assert np.array_equal(after[name].data, arr)
@@ -555,7 +548,7 @@ class TestCocaStep:
         norms = {n: p.data.copy() for n, p in anchor.params.items()
                  if n in anchor.norm_param_names}
         opts = [SGD(m.norm_params(), lr=0.1) for m in (anchor, aux)]
-        coca_step(anchor, aux, TauState(), self.batch(), opts)
+        coca_step(anchor, aux, 1.0, self.batch(), opts)
         for name, arr in weights.items():
             assert np.array_equal(anchor.params[name].data, arr)
         assert any(not np.array_equal(anchor.params[n].data, a)
@@ -567,7 +560,7 @@ class TestCocaStep:
         batch = self.batch(seed=3)
         anchor, aux = tiny_pair(seed=5)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
-        _, bd = coca_step(anchor, aux, TauState(), batch, opts, lam_col=0.0)
+        _, bd = coca_step(anchor, aux, 1.0, batch, opts, lam_col=0.0)
 
         tent_total = 0.0
         for m in (anchor, aux):
@@ -580,20 +573,20 @@ class TestCocaStep:
     def test_breakdown_composition(self):
         anchor, aux = tiny_pair(seed=2)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
-        _, bd = coca_step(anchor, aux, TauState(), self.batch(1), opts, lam_col=2.0)
+        _, bd = coca_step(anchor, aux, 1.0, self.batch(1), opts, lam_col=2.0)
         assert abs(bd.l_total - (2.0 * (bd.l_mar + bd.l_ckd) + bd.l_sa)) < 1e-12
 
     def test_masks_zero_out_terms(self):
         anchor, aux = tiny_pair(seed=4)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
         masks = LossMasks(sa=False, mar=True, ckd=False)
-        _, bd = coca_step(anchor, aux, TauState(), self.batch(2), opts, masks=masks)
+        _, bd = coca_step(anchor, aux, 1.0, self.batch(2), opts, masks=masks)
         assert abs(bd.l_total - bd.l_mar) < 1e-12
 
     def test_filter_reports_kept_fraction(self):
         anchor, aux = tiny_pair(seed=6)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
-        _, bd = coca_step(anchor, aux, TauState(), self.batch(7, n=32), opts,
+        _, bd = coca_step(anchor, aux, 1.0, self.batch(7, n=32), opts,
                           filter_factor=0.4)
         assert 0.0 <= bd.kept_frac <= 1.0
 
@@ -601,7 +594,7 @@ class TestCocaStep:
         anchor, aux = tiny_pair(seed=8)
         before = {n: p.data.copy() for n, p in anchor.params.items()}
         opts = [SGD(m.norm_params(), lr=0.5) for m in (anchor, aux)]
-        _, bd = coca_step(anchor, aux, TauState(), self.batch(9), opts,
+        _, bd = coca_step(anchor, aux, 1.0, self.batch(9), opts,
                           filter_factor=1e-9)
         assert bd.kept_frac == 0.0
         for name, arr in before.items():
@@ -610,7 +603,7 @@ class TestCocaStep:
     def test_collapse_threshold_triggers_anchor_fallback(self):
         anchor, aux = tiny_pair(seed=10)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
-        ens, _ = coca_step(anchor, aux, TauState(), self.batch(11), opts,
+        ens, _ = coca_step(anchor, aux, 1.0, self.batch(11), opts,
                            collapse_threshold=1.01)
         assert ens.aux_dropped
         assert np.array_equal(ens.y_hat, ens.p_a.argmax(axis=1))
@@ -618,7 +611,7 @@ class TestCocaStep:
     def test_collapse_threshold_zero_never_triggers(self):
         anchor, aux = tiny_pair(seed=12)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
-        ens, _ = coca_step(anchor, aux, TauState(), self.batch(13), opts,
+        ens, _ = coca_step(anchor, aux, 1.0, self.batch(13), opts,
                            collapse_threshold=0.0)
         assert not ens.aux_dropped
 
@@ -650,12 +643,11 @@ class TestNonFiniteGuard:
         # one class (one model alone, the entropy-minimization baseline, too)
         pair = a9_pair()[:k]
         opts = [SGD(m.norm_params(), lr=0.01, momentum=0.9) for m in pair]
-        states = [TauState() for _ in range(k - 1)]
+        taus = [1.0] * (k - 1)
         for b, batch in enumerate(self.nan_stream()):
             before = [p.data.copy() for m in pair for p in m.all_params()]
             velocity = [v.copy() for o in opts for v in o.velocity]
-            taus = [s.tau for s in states]
-            out = multi_model_step(pair, states, batch, opts)
+            out = multi_model_step(pair, taus, batch, opts)
             assert out.skipped == (b == 2)
             assert np.isfinite(out.breakdown.l_total)
             params = [p for m in pair for p in m.all_params()]
@@ -664,29 +656,27 @@ class TestNonFiniteGuard:
                 assert [p.data.tobytes() for p in params] == [a.tobytes() for a in before]
                 assert [v.tobytes() for o in opts for v in o.velocity] == [
                     v.tobytes() for v in velocity]
-                assert [s.tau for s in states] == taus and out.taus == taus
+                assert out.taus == taus
             else:
                 assert any(not np.array_equal(p.data, a) for p, a in zip(params, before))
             assert len(np.unique(out.y_hat)) > 1
+            taus = out.taus
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_skipped_step_puts_every_tau_back(self, k, monkeypatch):
-        # learn_tau runs before the loss; a skipped step must undo its moves
-        def moving_learn_tau(state, p_a, p_s):
-            state.tau = state.clamped(state.tau * 3.0)
-            return state
+        # learn_tau runs before the loss; a skipped step must drop its moves
+        def moving_learn_tau(tau, p_a, p_s, steps):
+            return co._clamp_tau(tau * 3.0)
 
         monkeypatch.setattr(co, "learn_tau", moving_learn_tau)
         ms = [m.clone() for m in pretrained_cascade()[:k]]
-        states = [TauState(tau=1.5 + i) for i in range(k - 1)]
         opts = [SGD(m.norm_params(), lr=0.05, momentum=0.9) for m in ms]
         batches = step_batches(0, n=2)
-        out = multi_model_step(ms, states, batches[0], opts)
-        assert not out.skipped and [s.tau for s in states] == [4.5, 7.5][:k - 1]
+        out = multi_model_step(ms, [1.5 + i for i in range(k - 1)], batches[0], opts)
+        assert not out.skipped and out.taus == [4.5, 7.5][:k - 1]
         batches[1][3, 0] = np.inf
-        out = multi_model_step(ms, states, batches[1], opts)
-        assert out.skipped
-        assert [s.tau for s in states] == out.taus == [4.5, 7.5][:k - 1]
+        out = multi_model_step(ms, out.taus, batches[1], opts)
+        assert out.skipped and out.taus == [4.5, 7.5][:k - 1]
 
 
 class TestTentStep:
@@ -804,7 +794,7 @@ class TestCascade:
         ms = self.models3()[:2]
         batch = np.random.default_rng(32).standard_normal((16, 6))
         opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
-        out = multi_model_step(ms, [TauState(steps=0)], batch, opts)
+        out = multi_model_step(ms, [1.0], batch, opts, tau_steps=0)
         with Tape():
             logits = [forward_logits(m, Tensor(batch)).data for m in ms]
         assert np.array_equal(out.ensemble.p_e, ensemble(logits[0], logits[1], tau=1.0).p_e)
@@ -821,7 +811,7 @@ class TestCascade:
             forward_nodes = len(tape)
         seen = self.nodes_at_backward(monkeypatch)
         opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
-        multi_model_step(ms, [TauState(), TauState()], batch, opts)
+        multi_model_step(ms, [1.0, 1.0], batch, opts)
         assert seen == [forward_nodes + 4]
 
     def test_three_convnets_record_seven_forward_nodes_each(self, monkeypatch):
@@ -837,19 +827,31 @@ class TestCascade:
         seen = self.nodes_at_backward(monkeypatch)
         batch = np.random.default_rng(34).standard_normal((16, 1, 6, 6))
         opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
-        multi_model_step(ms, [TauState(), TauState()], batch, opts)
+        multi_model_step(ms, [1.0, 1.0], batch, opts)
         assert seen == [3 * 7 + 4]
 
     def test_tau_state_count_checked(self):
         ms = self.models3()
-        with pytest.raises(ValueError):
-            multi_model_step(ms, [TauState()], np.zeros((4, 6)), [])
+        opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
+        with pytest.raises(ValueError, match="expected 2 taus, got 1"):
+            multi_model_step(ms, [1.0], np.zeros((4, 6)), opts)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_optimizer_count_checked(self, k):
+        # one optimizer for a pair used to run: the auxiliary's norm gradients
+        # were never cleared and grew from step to step
+        ms = self.models3()[:k]
+        opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
+        batch = np.random.default_rng(35).standard_normal((16, 6))
+        for wrong in (opts[:-1], opts + opts[:1]):
+            with pytest.raises(ValueError, match=f"expected {k} optimizers"):
+                multi_model_step(ms, [1.0] * (k - 1), batch, wrong)
 
     def test_runs_and_reports(self):
         ms = self.models3()
         batch = np.random.default_rng(30).standard_normal((16, 6))
         opts = [SGD(m.norm_params(), lr=0.01) for m in ms]
-        out = multi_model_step(ms, [TauState(), TauState()], batch, opts)
+        out = multi_model_step(ms, [1.0, 1.0], batch, opts)
         assert len(out.per_model_preds) == 3
         assert len(out.taus) == 2
         assert out.y_hat.shape == (16,)
@@ -859,8 +861,7 @@ class TestCascade:
         ms = self.models3()
         batch = np.random.default_rng(31).standard_normal((16, 6))
         opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
-        states = [TauState(steps=0), TauState(steps=0)]
-        out = multi_model_step(ms, states, batch, opts)
+        out = multi_model_step(ms, [1.0, 1.0], batch, opts, tau_steps=0)
         with Tape():
             logits = [forward_logits(m, Tensor(batch)).data for m in ms]
         inner = ensemble(logits[1], logits[2], tau=1.0)
@@ -902,12 +903,13 @@ def adapt_cascade(k, batches, filter_factor=None, collapse_threshold=0.0, classe
     for m in ms if classes is not None else ():
         for name in ("head.weight", "head.bias"):
             m.params[name].data = m.params[name].data[..., classes].copy()
-    states = [TauState() for _ in range(k - 1)]
+    taus = [1.0] * (k - 1)
     opts = [SGD(m.norm_params(), lr=0.05, momentum=0.9) for m in ms]
     steps = []
     for batch in batches:
-        out = multi_model_step(ms, states, batch, opts, filter_factor=filter_factor,
+        out = multi_model_step(ms, taus, batch, opts, filter_factor=filter_factor,
                                collapse_threshold=collapse_threshold)
+        taus = out.taus
         state = [p.data.copy() for m in ms for p in m.norm_params()]
         steps.append((out, state + [v.copy() for o in opts for v in o.velocity]))
     return steps
@@ -1008,20 +1010,15 @@ class TestTauMetamorphic:
         return p_a, p_s
 
     @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.5, 3.0, 15.0]),
-           tau0=st.floats(0.05, 20.0), steps=st.integers(1, 8),
-           step_size=st.sampled_from([3e-3, 1e-2, 5e-2]),
-           bounds=st.sampled_from([(1e-2, 1e3), (0.5, 2.0)]))
+           tau0=st.floats(0.05, 20.0), steps=st.integers(1, 8))
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     def test_doubled_auxiliary_and_tau_double_the_learned_tau(self, seed, spread, tau0,
-                                                              steps, step_size, bounds):
+                                                              steps):
         p_a, p_s = self.logits(seed, spread)
-        lo, hi = bounds
-        kw = dict(steps=steps, step_size=step_size)
-        one = learn_tau(TauState(tau=tau0, tau_min=lo, tau_max=hi, **kw), p_a, p_s)
-        two = learn_tau(TauState(tau=2 * tau0, tau_min=2 * lo, tau_max=2 * hi, **kw),
-                        p_a, 2 * p_s)
-        assert two.tau == 2 * one.tau
-        ens, ens2 = ensemble(p_a, p_s, one.tau), ensemble(p_a, 2 * p_s, two.tau)
+        one = learn_tau(tau0, p_a, p_s, steps)
+        two = learn_tau(2 * tau0, p_a, 2 * p_s, steps)
+        assert two == 2 * one
+        ens, ens2 = ensemble(p_a, p_s, one), ensemble(p_a, 2 * p_s, two)
         for a, b in ((ens.p_e, ens2.p_e), (ens.T, ens2.T), (ens.y_hat, ens2.y_hat)):
             assert a.tobytes() == b.tobytes()
 
@@ -1032,9 +1029,8 @@ class TestTauMetamorphic:
         # spread 30 puts logits beyond the clamp of 20; the shift makes rows
         # whose maximum is <= 0, where the balance factor falls back to 1
         p_a = self.logits(seed, spread)[0] + shift * spread
-        state = learn_tau(TauState(steps=steps), p_a, p_a.copy())
-        assert state.tau == 1.0
-        ens = ensemble(p_a, p_a.copy(), state.tau)
+        assert learn_tau(1.0, p_a, p_a.copy(), steps) == 1.0
+        ens = ensemble(p_a, p_a.copy(), 1.0)
         positive = p_a.max(axis=1) > 0
         assert ens.p_e[positive].tobytes() == p_a[positive].tobytes()
         assert np.array_equal(ens.y_hat, p_a.argmax(axis=1))
@@ -1045,7 +1041,7 @@ class TestTauMetamorphic:
         anchor = pretrained_cascade()[0].clone()
         pair = [anchor, anchor.clone()]
         opts = [SGD(m.norm_params(), lr=0.05, momentum=0.9) for m in pair]
-        out = multi_model_step(pair, [TauState()], step_batches(seed)[0], opts)
+        out = multi_model_step(pair, [1.0], step_batches(seed)[0], opts)
         ens = out.ensemble
         assert out.taus == [1.0]
         positive = ens.p_a.max(axis=1) > 0
