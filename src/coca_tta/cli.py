@@ -31,10 +31,22 @@ def validate_config(doc: dict) -> RunConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def load_config(path: str, seed_override=None) -> RunConfig:
+def read_json(path: str):
+    """The JSON document at ``path``; a key repeated in one object raises ConfigError."""
+    def unique_keys(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(f"invalid config: {path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    cfg = validate_config(doc)
+        return json.load(f, object_pairs_hook=unique_keys)
+
+
+def load_config(path: str, seed_override=None) -> RunConfig:
+    cfg = validate_config(read_json(path))
     if seed_override is not None:
         cfg = replace(cfg, seed=int(seed_override))
     return cfg
@@ -103,8 +115,7 @@ def cmd_sweep(args) -> int:
     if args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
     cfg = load_config(args.config, args.seed)
-    with open(args.grid, "r", encoding="utf-8") as f:
-        grid = json.load(f)
+    grid = read_json(args.grid)
     try:  # reject a malformed grid or an invalid point before any run starts
         points = sweep_points(grid)
         for i, p in enumerate(points):

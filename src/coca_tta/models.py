@@ -12,7 +12,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .autodiff import SGD, Tape, Tensor
 from .record import Record
 
 CHECKPOINT_MAGIC = b"COCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -65,8 +65,11 @@ class ModelSpec(Record):
 class ModelHandle:
     spec: ModelSpec
     params: dict[str, Tensor]
-    norm_param_names: list[str]
-    seed: int
+
+    @property
+    def norm_param_names(self) -> list[str]:
+        """Names of the normalization affines, the tensors adaptation updates."""
+        return [n for n in self.params if n.rsplit(".", 1)[1].startswith("norm_")]
 
     @property
     def param_count(self) -> int:
@@ -88,7 +91,7 @@ class ModelHandle:
     def clone(self) -> "ModelHandle":
         params = {n: Tensor(p.data.copy(), requires_grad=p.requires_grad)
                   for n, p in self.params.items()}
-        return ModelHandle(self.spec, params, list(self.norm_param_names), self.seed)
+        return ModelHandle(self.spec, params)
 
 
 def _he_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -122,7 +125,6 @@ def build_model(spec: ModelSpec, seed: int) -> ModelHandle:
     """
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
-    norm_names: list[str] = []
     for name, shape in param_shapes(spec).items():
         part = name.rsplit(".", 1)[1]
         if part == "weight":
@@ -131,10 +133,8 @@ def build_model(spec: ModelSpec, seed: int) -> ModelHandle:
             data = _he_uniform(rng, shape, fan_in)
         else:
             data = np.ones(shape) if part == "norm_scale" else np.zeros(shape)
-            if part.startswith("norm_"):
-                norm_names.append(name)
         params[name] = Tensor(data, requires_grad=True)
-    return ModelHandle(spec, params, norm_names, int(seed))
+    return ModelHandle(spec, params)
 
 
 def forward_logits(model: ModelHandle, batch: Tensor) -> Tensor:
@@ -242,92 +242,52 @@ def anchor_select(models: Sequence[ModelHandle]) -> list[ModelHandle]:
 
 
 # --- checkpoint IO -----------------------------------------------------------
+# A checkpoint is the magic, the u32 version and the u32 size of the metadata
+# JSON {"spec": ...}, then that JSON, then every parameter as little-endian
+# float64 in param_shapes(spec) order: the spec fixes every name and shape.
 
-def write_u32s(f: BinaryIO, *values: int) -> None:
-    f.write(struct.pack(f"<{len(values)}I", *values))
-
-
-class Reader:
-    """Reads little-endian checkpoint fields; a size past the end raises before any read."""
-
-    def __init__(self, f: BinaryIO):
-        self.f = f
-        self.size = os.fstat(f.fileno()).st_size
-
-    def left(self) -> int:
-        return self.size - self.f.tell()
-
-    def exact(self, size: int, what: str) -> bytes:
-        if size > self.left():
-            raise CheckpointError(f"truncated {what}")
-        return self.f.read(size)
-
-    def u32s(self, count: int, what: str) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}I", self.exact(4 * count, what))
-
-    def array(self, dims: tuple[int, ...], what: str) -> np.ndarray:
-        raw = self.exact(8 * math.prod(dims), what)
-        return np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+_HEADER = struct.Struct("<4sII")
 
 
 def save_checkpoint(model: ModelHandle, path: str) -> None:
-    meta = json.dumps({
-        "spec": model.spec.to_dict(),
-        "seed": model.seed,
-        "param_count": model.param_count,
-    }, sort_keys=True).encode("utf-8")
+    meta = json.dumps({"spec": model.spec.to_dict()}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        write_u32s(f, CHECKPOINT_VERSION, len(meta))
+        f.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(meta)))
         f.write(meta)
-        for name, p in model.params.items():
-            nb = name.encode("utf-8")
-            write_u32s(f, len(nb))
-            f.write(nb)
-            write_u32s(f, p.data.ndim, *p.data.shape)
-            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        for name in param_shapes(model.spec):
+            f.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> ModelHandle:
     with open(path, "rb") as f:
-        r = Reader(f)
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad checkpoint magic: {magic!r}")
-        version, = r.u32s(1, "checkpoint version")
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_HEADER.size)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad checkpoint magic: {head[:4]!r}")
+        if len(head) < _HEADER.size:
+            raise CheckpointError("truncated checkpoint header")
+        _, version, meta_size = _HEADER.unpack(head)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version: {version}")
-        meta_raw = r.exact(*r.u32s(1, "checkpoint metadata size"), "checkpoint metadata")
+        if meta_size > size - _HEADER.size:
+            raise CheckpointError("truncated checkpoint metadata")
         try:
-            meta = json.loads(meta_raw.decode("utf-8"))
-            spec = ModelSpec.from_dict(meta["spec"])
-            seed = int(meta["seed"])
-            param_count = meta["param_count"]
+            spec = ModelSpec.from_dict(json.loads(f.read(meta_size).decode("utf-8"))["spec"])
         except (ValueError, KeyError, TypeError) as exc:
             raise CheckpointError(f"bad checkpoint metadata: {exc}") from None
-        # size the spec before building it, so a forged spec allocates nothing
-        count = sum(math.prod(shape) for shape in param_shapes(spec).values())
-        if count != param_count:
-            raise CheckpointError("param_count mismatch in checkpoint metadata")
-        if 8 * count > r.left():
-            raise CheckpointError(f"truncated checkpoint: {count} parameters declared")
-        model = build_model(spec, seed)
-        loaded = {}
-        while r.left():
-            name_raw = r.exact(*r.u32s(1, "checkpoint blob header"), "parameter name")
-            try:
-                name = name_raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise CheckpointError(f"parameter name is not UTF-8: {name_raw!r}") from None
-            if name in loaded:
-                raise CheckpointError(f"parameter {name!r} appears twice in checkpoint")
-            dims = r.u32s(*r.u32s(1, f"rank of parameter {name!r}"),
-                          f"shape of parameter {name!r}")
-            loaded[name] = r.array(dims, f"data for parameter {name!r}")
-    if set(loaded) != set(model.params):
-        raise CheckpointError("checkpoint parameter names do not match model spec")
-    for name, arr in loaded.items():
-        if arr.shape != model.params[name].data.shape:
-            raise CheckpointError(f"shape mismatch for parameter {name!r}")
-        model.params[name].data = arr
-    return model
+        # size the spec against the file before reading, so a forged spec allocates nothing
+        shapes = param_shapes(spec)
+        count = sum(math.prod(shape) for shape in shapes.values())
+        left = size - _HEADER.size - meta_size
+        if left != 8 * count:
+            raise CheckpointError(f"checkpoint has {left} bytes of parameters; "
+                                  f"its spec needs {8 * count}")
+        flat = np.fromfile(f, dtype="<f8", count=count)
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        data = flat[start:start + math.prod(shape)].reshape(shape)
+        start += data.size
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"parameter {name!r} is not finite")
+        params[name] = Tensor(data, requires_grad=True)
+    return ModelHandle(spec, params)

@@ -181,6 +181,28 @@ class TestValidateConfig:
                                            f"unknown keys [{name!r}]\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old,new,key", [
+        ('"seed": 11', '"seed": 17, "seed": 99', "seed"),
+        ('"lr": 0.001', '"lr": 0.001, "lr": 5.0', "lr"),
+    ], ids=["top_level", "model_entry"])
+    def test_rejects_duplicate_key_before_pretraining(self, tmp_path, capsys, monkeypatch,
+                                                      old, new, key):
+        # the last copy used to win silently: seed 99, or an anchor lr of 5.0
+        def no_pretraining(*args):
+            raise AssertionError("pretraining started")
+
+        monkeypatch.setattr(harness, "pretrain_models", no_pretraining)
+        cfg = write_config(tmp_path)
+        text = cfg.read_text()
+        assert text.count(old) == 1
+        cfg.write_text(text.replace(old, new))
+        for command in ("pretrain", "adapt"):
+            out = tmp_path / command
+            assert main([command, str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (f"error: invalid config: {cfg}: "
+                                               f"duplicate key {key!r}\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("overrides,path", [
         ({"loss_masks": {"sa": "false"}}, "<root>.loss_masks.sa"),
         ({"corruption": {"kind": "gaussian_noise", "severity": 3.7}},
@@ -282,6 +304,22 @@ class TestPretrainAdaptReport:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+
+    def test_non_finite_checkpoint_fails_cleanly(self, tmp_path, capsys):
+        # a NaN norm scale used to load, and adapt exited 0 with the batchnorm
+        # auxiliary at chance accuracy on every batch
+        cfg = write_config(tmp_path, epochs=1)
+        ckpt = tmp_path / "ckpt"
+        assert main(["pretrain", str(cfg), "--out", str(ckpt)]) == 0
+        path = str(ckpt / "model_1.ckpt")
+        model = models.load_checkpoint(path)
+        model.params["layer0.norm_scale"].data[0] = np.nan
+        models.save_checkpoint(model, path)
+        out = tmp_path / "out"
+        assert main(["adapt", str(cfg), "--checkpoints", str(ckpt), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: parameter 'layer0.norm_scale' "
+                                           "is not finite\n")
+        assert not out.exists()
 
     def test_checkpoints_of_another_config_fail_cleanly(self, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"
@@ -441,6 +479,16 @@ class TestSweep:
         out = tmp_path / "sweep"
         assert main(["sweep", str(cfg), "--grid", str(grid_path), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: invalid config: {path}: ")
+        assert not out.exists()
+
+    def test_duplicate_grid_key_fails_before_any_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"lam_col": [1.0], "lam_col": [0.5, 2.0]}')
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cfg), "--grid", str(grid), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: invalid config: {grid}: "
+                                           f"duplicate key 'lam_col'\n")
         assert not out.exists()
 
     def test_bad_config_returns_one(self, tmp_path, capsys):

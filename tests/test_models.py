@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from coca_tta import autodiff as ad
 from coca_tta.autodiff import ShapeError, Tape, Tensor
-from coca_tta.models import (CHECKPOINT_MAGIC, CheckpointError, ModelSpec,
-                             anchor_select, build_model, cross_entropy_mean,
+from coca_tta.models import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
+                             ModelSpec, anchor_select, build_model, cross_entropy_mean,
                              forward_logits, load_checkpoint, param_shapes, pretrain,
                              save_checkpoint)
 from coca_tta.shiftgen import SourceTask, gen_source
@@ -386,6 +386,66 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[name].data,
                                   model.params[name].data)
 
+    def test_convnet_round_trip_bitwise(self, tmp_path):
+        spec = ModelSpec(kind="convnet", input_shape=(2, 5, 4), hidden_sizes=[3, 4],
+                         norm_kind="batchnorm", num_classes=3)
+        model = build_model(spec, seed=5)
+        rng = np.random.default_rng(0)
+        for p in model.params.values():   # no parameter keeps its 1 / 0 initialization
+            p.data = rng.standard_normal(p.data.shape)
+        path = str(tmp_path / "conv.ckpt")
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        assert loaded.spec == spec
+        assert loaded.params["block0.weight"].data.shape == (3, 2, 3, 3)
+        assert list(loaded.params) == list(model.params)
+        assert loaded.norm_param_names == model.norm_param_names
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+            assert loaded.params[name].requires_grad
+
+    def test_pinned_layout(self, tmp_path):
+        # header, metadata, then the float64 parameters in param_shapes order,
+        # with nothing between or after them
+        model = self.trained(tmp_path)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        data = path.read_bytes()
+        magic, version, meta_size = struct.unpack("<4sII", data[:12])
+        assert (magic, version) == (CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        assert json.loads(data[12:12 + meta_size]) == {"spec": model.spec.to_dict()}
+        assert len(data) == 12 + meta_size + 8 * model.param_count
+        assert data[12 + meta_size:] == b"".join(
+            model.params[name].data.astype("<f8").tobytes() for name in param_shapes(model.spec))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        # a NaN norm scale used to load, and adaptation ran on at chance accuracy
+        model = self.trained(tmp_path)
+        model.params["layer0.norm_scale"].data[1] = value
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError, match="'layer0.norm_scale' is not finite"):
+            load_checkpoint(path)
+
+    def test_version_one_rejected(self, tmp_path):
+        # the version 1 layout repeated each parameter's name and shape
+        model = self.trained(tmp_path)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, str(path))
+        data = bytearray(path.read_bytes())
+        data[4:8] = u32(1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version: 1"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("size", [0, 4, 8, 11])
+    def test_shorter_than_header_rejected(self, tmp_path, size):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes((CHECKPOINT_MAGIC + u32(CHECKPOINT_VERSION, 0))[:size])
+        with pytest.raises(CheckpointError, match="magic" if size < 4 else "truncated"):
+            load_checkpoint(str(path))
+
     def test_magic_bytes(self, tmp_path):
         model = self.trained(tmp_path)
         path = str(tmp_path / "m.ckpt")
@@ -420,7 +480,7 @@ class TestCheckpoint:
         forged = np.full(model.params["head.bias"].data.shape, 7.0)
         path.write_bytes(path.read_bytes() + u32(len(name)) + name
                          + u32(forged.ndim, *forged.shape) + forged.astype("<f8").tobytes())
-        with pytest.raises(CheckpointError, match="'head.bias' appears twice"):
+        with pytest.raises(CheckpointError, match=SIZE_MISMATCH):
             load_checkpoint(str(path))
 
     def test_unsupported_version_rejected(self, tmp_path):
@@ -431,8 +491,11 @@ class TestCheckpoint:
         data[4:8] = (99).to_bytes(4, "little")
         with open(path, "wb") as f:
             f.write(data)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version: 99"):
             load_checkpoint(path)
+
+
+SIZE_MISMATCH = "bytes of parameters; its spec needs"
 
 
 def u32(*values):
@@ -448,35 +511,40 @@ class TestCheckpointReaderRejectsBadInput:
 
     @pytest.fixture(scope="class")
     def prefix(self, path):
-        """Magic, version and metadata of a valid checkpoint, without its blobs."""
+        """Magic, version and metadata of a valid checkpoint, without its parameters."""
         save_checkpoint(build_model(small_spec(hidden=(2,), dims=2), seed=0), str(path))
         data = path.read_bytes()
         return data[:12 + struct.unpack("<I", data[8:12])[0]]
 
     @pytest.fixture(scope="class")
     def tail(self):
-        """Zero bytes as many as the prefix's parameters need, so a forged blob
-        header after the prefix reaches the blob reader, not the size check."""
+        """Zero bytes as many as the prefix's parameters need: any bytes added to
+        them make the bytes after the metadata longer than the spec allows."""
         return bytes(8 * build_model(small_spec(hidden=(2,), dims=2), seed=0).param_count)
 
     @staticmethod
-    def load_bytes(path, data):
+    def load_bytes(path, data, match):
         path.write_bytes(data)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(str(path))
 
+    # the next three append bytes in the old per-parameter header layout
+    # (name length, name, rank, dims) to a whole checkpoint
     def test_non_utf8_name(self, prefix, tail, path):
-        self.load_bytes(path, prefix + u32(2) + b"\xff\xfe" + u32(0) + bytes(8) + tail)
+        self.load_bytes(path, prefix + u32(2) + b"\xff\xfe" + u32(0) + bytes(8) + tail,
+                        SIZE_MISMATCH)
 
     def test_shape_product_beyond_int64(self, prefix, tail, path):
         # 2**21 * 2**21 * 2**22 == 2**64 wraps to 0 in int64 arithmetic
         self.load_bytes(path,
-                        prefix + u32(1) + b"w" + u32(3, 2**21, 2**21, 2**22) + tail)
+                        prefix + u32(1) + b"w" + u32(3, 2**21, 2**21, 2**22) + tail,
+                        SIZE_MISMATCH)
 
     @pytest.mark.parametrize("meta", [b"\xff{}", b"{not json", b"[1, 2]", b"{}",
                                       json.dumps({"spec": [1], "seed": 0}).encode()])
     def test_bad_metadata(self, meta, path):
-        self.load_bytes(path, CHECKPOINT_MAGIC + u32(1, len(meta)) + meta)
+        self.load_bytes(path, CHECKPOINT_MAGIC + u32(CHECKPOINT_VERSION, len(meta)) + meta,
+                        "bad checkpoint metadata")
 
     def test_non_integral_num_classes(self, path):
         # int(4.5) == 4 would load the file as the 4-class model it holds
@@ -499,7 +567,8 @@ class TestCheckpointReaderRejectsBadInput:
     def test_fuzzed_blob_header(self, prefix, tail, path, name_len, name, rank,
                                 dims, payload):
         self.load_bytes(path,
-                        prefix + u32(name_len) + name + u32(rank, *dims) + payload + tail)
+                        prefix + u32(name_len) + name + u32(rank, *dims) + payload + tail,
+                        SIZE_MISMATCH)
 
     @given(meta=st.one_of(
                st.binary(max_size=64),
@@ -511,16 +580,22 @@ class TestCheckpointReaderRejectsBadInput:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     def test_fuzzed_metadata(self, path, meta, meta_len):
         size = len(meta) if meta_len is None else meta_len
-        self.load_bytes(path, CHECKPOINT_MAGIC + u32(1, size) + meta)
+        # a size past the end is truncated metadata; otherwise no spec parses
+        self.load_bytes(path, CHECKPOINT_MAGIC + u32(CHECKPOINT_VERSION, size) + meta,
+                        "(truncated|bad) checkpoint metadata")
 
     @staticmethod
     def forged_spec_file(path, param_count):
-        """Metadata declaring an MLP 1500 -> 1500 -> 2 and no parameter data."""
+        """Metadata declaring an MLP 1500 -> 1500 -> 2 and no parameter data.
+
+        The metadata also carries version 1's seed and param_count keys, which
+        the loader ignores: the spec alone sizes the parameters.
+        """
         spec = ModelSpec(kind="mlp", input_shape=(1500,), hidden_sizes=[1500],
                          norm_kind="batchnorm", num_classes=2)
         meta = json.dumps({"spec": spec.to_dict(), "seed": 0,
                            "param_count": param_count}).encode()
-        path.write_bytes(CHECKPOINT_MAGIC + u32(1, len(meta)) + meta)
+        path.write_bytes(CHECKPOINT_MAGIC + u32(CHECKPOINT_VERSION, len(meta)) + meta)
 
     @pytest.mark.parametrize("param_count", [1500 * 1500 + 3 * 1500 + 1500 * 2 + 2, 8],
                              ids=["declared-count-matches-spec", "declared-count-differs"])
@@ -528,7 +603,7 @@ class TestCheckpointReaderRejectsBadInput:
         self.forged_spec_file(path, param_count)
         tracemalloc.start()
         try:
-            with pytest.raises(CheckpointError):
+            with pytest.raises(CheckpointError, match="has 0 " + SIZE_MISMATCH):
                 load_checkpoint(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -542,5 +617,6 @@ class TestCheckpointReaderRejectsBadInput:
     ])
     def test_non_positive_sizes_rejected(self, path, spec):
         spec = dict(spec, norm_kind="batchnorm", num_classes=2)
-        meta = json.dumps({"spec": spec, "seed": 0, "param_count": 0}).encode()
-        self.load_bytes(path, CHECKPOINT_MAGIC + u32(1, len(meta)) + meta)
+        meta = json.dumps({"spec": spec}).encode()
+        self.load_bytes(path, CHECKPOINT_MAGIC + u32(CHECKPOINT_VERSION, len(meta)) + meta,
+                        "bad checkpoint metadata: .*must be positive")
