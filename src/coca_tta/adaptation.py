@@ -156,10 +156,8 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
 
     The sum is scaled by 1 / T, with the per-sample balance factor
     T = max p_e' / max p_a, so the maximum logit matches the anchor's;
-    samples where either maximum is <= 0 fall back to T = 1. The filter and
-    the next pairing read this p_e. The objective forms its ensemble logits
-    from its own inputs with the same expression, so it is a function of
-    them and sees bit-equal logits.
+    samples where either maximum is <= 0 fall back to T = 1. The filter, the
+    objective and the next pairing read this p_e.
     """
     _check_tau(tau)
     p_a = np.asarray(p_a, dtype=np.float64)
@@ -215,7 +213,7 @@ def _softmax_stats(z: np.ndarray):
 
 
 def _ensemble_tensor(anchor_t: Tensor, aux_t: Tensor, ens: EnsembleOutput) -> Tensor:
-    """ens.p_e, formed from these tensors, as one tape node: the next pairing's auxiliary.
+    """ens.p_e, formed from these tensors, as one tape node: the pairing's ensemble.
 
     The balance factor T is a constant for model gradients.
     """
@@ -228,32 +226,26 @@ def _ensemble_tensor(anchor_t: Tensor, aux_t: Tensor, ens: EnsembleOutput) -> Te
     return ad._record("ensemble_logits", (anchor_t, aux_t), ens.p_e, bwd)
 
 
-def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, ens: EnsembleOutput,
+def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, p_e_t: Tensor, y_hat: np.ndarray,
                    keep: np.ndarray, lam_col: float, masks: LossMasks
                    ) -> tuple[Tensor, LossBreakdown]:
     """Masked-mean COCA objective over kept samples, as one tape node.
 
-    Every term is a mean over the kept rows of a per-row entropy or
-    cross-entropy, built from one softmax per logit matrix (anchor,
-    auxiliary, ensemble). The values are bit-identical to composing
+    p_e_t is the pairing's ensemble node, or the anchor itself when the guard
+    dropped the auxiliary; y_hat is the ensemble's prediction. Every term is a
+    mean over the kept rows of a per-row entropy or cross-entropy, built from
+    one softmax per input. The values are bit-identical to composing
     entropy_rows and cross-entropy rows on the tape; the backward is
-    analytic: q * (sum(q * z) - z) for an entropy row, q - onehot(y_hat)
-    for a cross-entropy row, and 1 / T and 1 / (T * tau) through the
-    ensemble logits.
+    analytic: q * (sum(q * z) - z) for an entropy row and q - onehot(y_hat)
+    for a cross-entropy row. L_mar's gradient goes to p_e_t, whose node
+    carries it on to both models.
     """
-    z_a, z_s = p_a_t.data, p_s_t.data
+    z_a, z_s, z_e = p_a_t.data, p_s_t.data, p_e_t.data
     q_a, lse_a, qz_a = _softmax_stats(z_a)
     q_s, lse_s, qz_s = _softmax_stats(z_s)
+    q_e, lse_e, qz_e = _softmax_stats(z_e)
     h_a, h_s = lse_a - qz_a, lse_s - qz_s
-    if ens.aux_dropped:
-        z_e, q_e, qz_e, h_e = z_a, q_a, qz_a, h_a
-    else:
-        scale = 1.0 / ens.T[:, None]   # T is a constant for model gradients
-        z_e = (z_a + z_s / ens.tau) * scale
-        q_e, lse_e, qz_e = _softmax_stats(z_e)
-        h_e = lse_e - qz_e
     rows = np.arange(len(z_a))
-    y_hat = ens.y_hat
 
     kept = int(keep.sum())
     keep_w = keep.astype(np.float64)
@@ -261,7 +253,7 @@ def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, ens: EnsembleOutput,
     def masked_mean(v):
         return (v * keep_w).sum() / kept
 
-    l_mar = float(masked_mean(h_e))
+    l_mar = float(masked_mean(lse_e - qz_e))
     l_ckd = float(masked_mean((lse_a - z_a[rows, y_hat]) + (lse_s - z_s[rows, y_hat])))
     l_sa = float(masked_mean(h_a) + masked_mean(h_s))
     col = (l_mar if masks.mar else 0.0) + (l_ckd if masks.ckd else 0.0)
@@ -274,23 +266,16 @@ def _combined_loss(p_a_t: Tensor, p_s_t: Tensor, ens: EnsembleOutput,
             for d, q in ((d_a, q_a), (d_s, q_s)):
                 d += q
                 d[rows, y_hat] -= 1.0
-        if masks.mar:
-            d_e = q_e * (qz_e[:, None] - z_e)
-            if ens.aux_dropped:
-                d_a += d_e
-            else:
-                d_e *= scale
-                d_a += d_e
-                d_s += d_e / ens.tau
         d_a *= lam_col
         d_s *= lam_col
         if masks.sa:
             d_a += q_a * (qz_a[:, None] - z_a)
             d_s += q_s * (qz_s[:, None] - z_s)
         w = (g / kept) * keep_w[:, None]
-        return d_a * w, d_s * w
+        d_e = q_e * (qz_e[:, None] - z_e) * (lam_col * w) if masks.mar else None
+        return d_a * w, d_s * w, d_e
 
-    total = ad._record("coca_objective", (p_a_t, p_s_t), np.asarray(l_total), bwd)
+    total = ad._record("coca_objective", (p_a_t, p_s_t, p_e_t), np.asarray(l_total), bwd)
     breakdown = LossBreakdown(
         l_mar=l_mar, l_ckd=l_ckd, l_sa=l_sa, l_total=l_total, kept_frac=float(keep.mean()))
     return total, breakdown
@@ -379,20 +364,19 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
 
         # build pairings bottom-up: innermost is (M_{k-1} anchor, M_k auxiliary)
         aux_t = logits[-1]
-        levels = []  # (anchor_t, aux_t, EnsembleOutput)
-        for tau, i in zip(taus, range(k - 2, -1, -1)):
-            anchor_t = logits[i]
+        levels = []  # (anchor_t, aux_t, ensemble tensor, EnsembleOutput)
+        for tau, anchor_t in zip(taus, logits[-2::-1]):
             tau = learn_tau(tau, anchor_t.data, aux_t.data, tau_steps)
             ens = ensemble(anchor_t.data, aux_t.data, tau)
             if collapse_threshold > 0 and agreement_rate(
                     anchor_t.data, aux_t.data) < collapse_threshold:
                 ens = drop_auxiliary(ens)
-            levels.append((anchor_t, aux_t, ens))
-            if i > 0:  # only a next pairing reads this one's ensemble
-                aux_t = anchor_t if ens.aux_dropped else _ensemble_tensor(anchor_t, aux_t, ens)
+            p_e_t = anchor_t if ens.aux_dropped else _ensemble_tensor(anchor_t, aux_t, ens)
+            levels.append((anchor_t, aux_t, p_e_t, ens))
+            aux_t = p_e_t
 
-        top = levels[-1][2] if levels else None
-        learned = [ens.tau for _, _, ens in levels]
+        top = levels[-1][-1] if levels else None
+        learned = [ens.tau for *_, ens in levels]
         if filter_factor is not None:  # EATA-style: keep rows below factor * ln C
             z = logits[0].data if top is None else top.p_e
             _, lse, qz = _softmax_stats(z)
@@ -411,8 +395,9 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
             rows = ad.mul(entropy_rows(logits[0]), Tensor(keep.astype(np.float64)))
             total = ad.scalar_div(ad.tensor_sum(rows), int(keep.sum()))
             agg.l_sa = agg.l_total = float(total.data)
-        for anchor_t, pair_aux_t, ens in levels:
-            lvl_total, lvl = _combined_loss(anchor_t, pair_aux_t, ens, keep, lam_col, masks)
+        for anchor_t, pair_aux_t, p_e_t, ens in levels:
+            lvl_total, lvl = _combined_loss(anchor_t, pair_aux_t, p_e_t, ens.y_hat,
+                                            keep, lam_col, masks)
             total = lvl_total if total is None else ad.add(total, lvl_total)
             agg.l_mar += lvl.l_mar
             agg.l_ckd += lvl.l_ckd

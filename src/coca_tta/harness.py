@@ -83,8 +83,8 @@ class RunConfig(Record):
             raise ValueError("co-adaptation strategies require >= 2 models")
         if not (self.loss_masks.sa or self.loss_masks.mar or self.loss_masks.ckd):
             raise ValueError("loss_masks: at least one of sa, mar, ckd must be on")
-        if not self.lam_col >= 0:
-            raise ValueError(f"lam_col must be >= 0, got {self.lam_col}")
+        if not 0 <= self.lam_col < math.inf:
+            raise ValueError(f"lam_col must be finite and >= 0, got {self.lam_col}")
         if self.lam_col == 0 and not self.loss_masks.sa:
             raise ValueError("lam_col = 0 with loss_masks.sa off leaves an objective "
                              "that is identically 0")

@@ -39,9 +39,10 @@ class SourceTask(Record):
         if not 0 < self.center_separation < math.inf:
             raise ValueError(f"center_separation must be finite and > 0, "
                              f"got {self.center_separation}")
-        if self.kind == "gaussian_mixture" and self.num_classes > self.dims:
-            raise ValueError("gaussian_mixture requires num_classes <= dims")
         self.image_shape = tuple(int(d) for d in self.image_shape)
+        # the class centres are orthogonal: each needs a feature dimension
+        if self.num_classes > math.prod(self.feature_shape):
+            raise ValueError(f"{self.kind} requires num_classes <= feature dimensions")
 
     @property
     def feature_shape(self) -> tuple[int, ...]:

@@ -414,12 +414,11 @@ def _ensemble_composed(p_a_t, p_s_t, ens):
     return ad.mul(ad.add(p_a_t, ad.scalar_div(p_s_t, ens.tau)), 1.0 / ens.T[:, None])
 
 
-def composed_objective(p_a_t, p_s_t, ens, keep, lam_col, masks):
+def composed_objective(p_a_t, p_s_t, p_e_t, y_hat, keep, lam_col, masks):
     """The COCA objective as a graph of elementary tape ops (the reference)."""
-    pe_t = p_a_t if ens.aux_dropped else _ensemble_composed(p_a_t, p_s_t, ens)
-    l_mar = _masked_mean(entropy_rows(pe_t), keep)
-    l_ckd = _masked_mean(ad.add(_cross_entropy_rows(p_a_t, ens.y_hat),
-                                _cross_entropy_rows(p_s_t, ens.y_hat)), keep)
+    l_mar = _masked_mean(entropy_rows(p_e_t), keep)
+    l_ckd = _masked_mean(ad.add(_cross_entropy_rows(p_a_t, y_hat),
+                                _cross_entropy_rows(p_s_t, y_hat)), keep)
     l_sa = ad.add(_masked_mean(entropy_rows(p_a_t), keep),
                   _masked_mean(entropy_rows(p_s_t), keep))
     zero = Tensor(0.0)
@@ -456,19 +455,18 @@ class TestFusedObjective:
 
     def run(self, leaves, inner, ens, keep, lam_col, masks, fused):
         ts = [Tensor(x.copy(), requires_grad=True) for x in leaves]
+        ensemble_t = co._ensemble_tensor if fused else _ensemble_composed
         with Tape():
-            if inner is None:
-                p_s_t = ts[1]
-            elif fused:
-                p_s_t = co._ensemble_tensor(ts[1], ts[2], inner)
-            else:
-                p_s_t = _ensemble_composed(ts[1], ts[2], inner)
+            p_s_t = ts[1] if inner is None else ensemble_t(ts[1], ts[2], inner)
+            # as in the step: the guard's fallback ensemble is the anchor itself
+            p_e_t = ts[0] if ens.aux_dropped else ensemble_t(ts[0], p_s_t, ens)
+            args = (ts[0], p_s_t, p_e_t, ens.y_hat, keep, lam_col, masks)
             if fused:
-                total, bd = co._combined_loss(ts[0], p_s_t, ens, keep, lam_col, masks)
+                total, bd = co._combined_loss(*args)
                 terms = (bd.l_mar, bd.l_ckd, bd.l_sa)
                 assert bd.l_total == total.item()
             else:
-                total, terms = composed_objective(ts[0], p_s_t, ens, keep, lam_col, masks)
+                total, terms = composed_objective(*args)
             ad.backward(total)
         grads = [np.zeros_like(x) if t.grad is None else t.grad for x, t in zip(leaves, ts)]
         return total.item(), terms, grads
@@ -491,7 +489,8 @@ class TestFusedObjective:
         rng = np.random.default_rng(3)
         (z_a, z_s, _), _, ens, keep = self.inputs(rng, "full_keep")
         with Tape():
-            _, bd = co._combined_loss(Tensor(z_a), Tensor(z_s), ens, keep, 1.0, LossMasks())
+            _, bd = co._combined_loss(Tensor(z_a), Tensor(z_s), Tensor(ens.p_e), ens.y_hat,
+                                      keep, 1.0, LossMasks())
             pe = (z_a + z_s / ens.tau) * (1.0 / ens.T[:, None])
             assert bd.l_mar == marginal_entropy(pe).item()
             assert bd.l_sa == self_adapt_loss(z_a, z_s).item()
@@ -514,7 +513,7 @@ class TestFusedObjective:
         monkeypatch.setattr(ad, "backward", counting_backward)
         opts = [SGD(m.norm_params(), lr=0.0) for m in (anchor, aux)]
         coca_step(anchor, aux, 1.0, batch, opts)
-        assert seen == [forward_nodes + 1]
+        assert seen == [forward_nodes + 2]   # the ensemble node, then the loss node
 
 
 def tiny_pair(seed=0, C=4, dims=6):
@@ -675,7 +674,8 @@ class TestNonFiniteGuard:
         out = multi_model_step(ms, [1.5 + i for i in range(k - 1)], batches[0], opts)
         assert not out.skipped and out.taus == [4.5, 7.5][:k - 1]
         batches[1][3, 0] = np.inf
-        out = multi_model_step(ms, out.taus, batches[1], opts)
+        with pytest.warns(RuntimeWarning):   # the normalization of the inf row
+            out = multi_model_step(ms, out.taus, batches[1], opts)
         assert out.skipped and out.taus == [4.5, 7.5][:k - 1]
 
 
@@ -800,9 +800,8 @@ class TestCascade:
         assert np.array_equal(out.ensemble.p_e, ensemble(logits[0], logits[1], tau=1.0).p_e)
         assert out.taus == [1.0]
 
-    def test_three_models_record_four_objective_nodes(self, monkeypatch):
-        # one ensemble node for the inner pairing (the topmost ensemble feeds
-        # no pairing), one objective node per pairing, one add
+    def test_three_models_record_five_objective_nodes(self, monkeypatch):
+        # one ensemble node and one objective node per pairing, one add
         ms = self.models3()
         batch = np.random.default_rng(33).standard_normal((16, 6))
         with Tape() as tape:
@@ -812,12 +811,12 @@ class TestCascade:
         seen = self.nodes_at_backward(monkeypatch)
         opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
         multi_model_step(ms, [1.0, 1.0], batch, opts)
-        assert seen == [forward_nodes + 4]
+        assert seen == [forward_nodes + 5]
 
     def test_three_convnets_record_seven_forward_nodes_each(self, monkeypatch):
         # per model: block0's conv2d sees no trainable input, so it records
         # batchnorm and relu; block1 records conv2d with its bias inside,
-        # batchnorm and relu; then reshape and linear. Plus the 4 objective nodes
+        # batchnorm and relu; then reshape and linear. Plus the 5 objective nodes
         specs = [ModelSpec(kind="convnet", input_shape=(1, 6, 6), hidden_sizes=ch,
                            norm_kind="batchnorm", num_classes=4)
                  for ch in ([6, 8], [4, 4], [2, 3])]
@@ -828,7 +827,7 @@ class TestCascade:
         batch = np.random.default_rng(34).standard_normal((16, 1, 6, 6))
         opts = [SGD(m.norm_params(), lr=0.0) for m in ms]
         multi_model_step(ms, [1.0, 1.0], batch, opts)
-        assert seen == [3 * 7 + 4]
+        assert seen == [3 * 7 + 5]
 
     def test_tau_state_count_checked(self):
         ms = self.models3()

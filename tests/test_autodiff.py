@@ -466,19 +466,19 @@ class TestConvBlockKernels:
 
 
 class TestCocaObjectiveGrads:
-    """Finite differences of the one-node COCA objective in both logit inputs."""
+    """Finite differences of the one-node COCA objective in its logit inputs."""
 
     def check(self, dropped, keep, lam_col, masks, seed):
-        rng = np.random.default_rng(seed)
-        ens = co.ensemble(rng.uniform(0.5, 3.0, (6, 5)), rng.uniform(0.5, 3.0, (6, 5)),
-                          tau=1.7)
-        if dropped:
-            ens = co.drop_auxiliary(ens)
+        y_hat = np.random.default_rng(seed).integers(0, 5, 6)
 
-        def objective(p_a, p_s):
-            return co._combined_loss(p_a, p_s, ens, keep, lam_col, masks)[0]
+        def objective(p_a, p_s, p_e=None):
+            # the guard's fallback passes the anchor as the ensemble
+            return co._combined_loss(p_a, p_s, p_a if p_e is None else p_e, y_hat,
+                                     keep, lam_col, masks)[0]
 
-        check_op(objective, [(6, 5), (6, 5)], n_cases=30, seed=seed)
+        # without L_mar the objective does not read its ensemble input
+        n_inputs = 3 if masks.mar and not dropped else 2
+        check_op(objective, [(6, 5)] * n_inputs, n_cases=30, seed=seed)
 
     def test_full_objective(self):
         self.check(False, np.ones(6, dtype=bool), 0.5, co.LossMasks(), seed=1)
@@ -701,8 +701,9 @@ NODE_KINDS = [
     node("layernorm", [(4, 5), (5,), (5,)], ad.layernorm),
     node("cross_entropy", [(6, 5)],
          lambda z: cross_entropy_mean(z, np.array([0, 4, 1, 1, 3, 2]))),
-    node("coca_objective", [(6, 5), (6, 5)],
-         lambda a, s: co._combined_loss(a, s, _ENS, _KEEP, 0.7, co.LossMasks())[0]),
+    node("coca_objective", [(6, 5), (6, 5), (6, 5)],
+         lambda a, s, e: co._combined_loss(a, s, e, _ENS.y_hat, _KEEP, 0.7,
+                                           co.LossMasks())[0]),
     node("ensemble_logits", [(6, 5), (6, 5)], lambda a, s: co._ensemble_tensor(a, s, _ENS)),
 ]
 

@@ -21,7 +21,7 @@ from coca_tta.adaptation import LossBreakdown, LossMasks
 from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
                               RunConfig, evaluate_accuracy, mix64,
                               point_config, prepare_models, run, sweep_points)
-from coca_tta.models import ModelSpec, build_model, pretrain
+from coca_tta.models import ModelSpec, anchor_select, build_model, pretrain
 from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
 
 
@@ -87,7 +87,7 @@ class TestRunConfig:
             point_config(small_config(),
                          {"loss_masks": {"sa": False, "mar": False, "ckd": False}}, 0)
 
-    @pytest.mark.parametrize("lam_col", [-0.5, float("nan")])
+    @pytest.mark.parametrize("lam_col", [-0.5, float("nan"), float("inf")])
     def test_rejects_negative_lam_col(self, lam_col):
         with pytest.raises(ValueError, match="lam_col"):
             small_config(lam_col=lam_col)
@@ -579,6 +579,28 @@ class TestRun:
         with pytest.raises(ValueError, match="models 0 and 1 are the same object"):
             run(cfg, models=[m, m])
         assert all(np.array_equal(m.params[n].data, a) for n, a in before.items())
+
+    def test_coca_filtered_drops_rows_that_coca_keeps(self):
+        cfg = small_config(seed=10)
+        models = prepare_models(cfg)
+        coca = run(cfg, models=[m.clone() for m in models])
+        filtered = run(replace(cfg, strategy="coca_filtered"),
+                       models=[m.clone() for m in models])
+        assert all(rec.losses.kept_frac == 1.0 for rec in coca.records)
+        assert any(rec.losses.kept_frac < 1.0 for rec in filtered.records)
+
+        # the first batch is one filtered step of the pretrained models
+        ordered = [m.clone() for m in anchor_select(models)]
+        for m in ordered:
+            m.set_trainable(norm_only=True)
+        opts = [ad.SGD(m.norm_params(), lr=0.0) for m in ordered]
+        xb, yb = next(iter(harness.build_test_stream(cfg)))
+        out = adaptation.multi_model_step(ordered, [1.0], xb, opts,
+                                          filter_factor=harness.FILTER_FACTOR)
+        first = filtered.records[0]
+        assert first.losses == out.breakdown and first.tau == out.taus[-1]
+        assert first.acc_combined == evaluate_accuracy(out.y_hat, yb)
+        assert first.acc_per_model == [evaluate_accuracy(p, yb) for p in out.per_model_preds]
 
     def test_source_only_never_updates(self):
         cfg = small_config(strategy="source_only", seed=6)

@@ -21,6 +21,10 @@ class TestSourceTask:
     def test_rejects_more_classes_than_dims(self):
         with pytest.raises(ValueError):
             SourceTask(kind="gaussian_mixture", num_classes=33, dims=32)
+        # the orthogonal class centres of an image task need a pixel each
+        with pytest.raises(ValueError, match="num_classes <= feature dimensions"):
+            SourceTask(kind="procedural_images", num_classes=10, image_shape=(1, 2, 2))
+        SourceTask(kind="procedural_images", num_classes=4, image_shape=(1, 2, 2))
 
     @pytest.mark.parametrize("field,value", [
         ("center_separation", float("nan")), ("center_separation", 0.0),
