@@ -4,26 +4,12 @@ small table of combined accuracies.
     python3 demos/ablation_sweep.py
 """
 
-from coca_tta.harness import (MASK_NAMES, ModelEntry, RunConfig, point_config,
-                              prepare_models, run, sweep_points)
-from coca_tta.models import ModelSpec
-from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
+from pathlib import Path
 
-task = SourceTask(kind="gaussian_mixture", num_classes=8, dims=16,
-                  center_separation=5.0)
-base = RunConfig(
-    models=[
-        ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(16,),
-                                  hidden_sizes=[64, 64], norm_kind="layernorm",
-                                  num_classes=8), lr=1e-3, pretrain_epochs=20),
-        ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(16,),
-                                  hidden_sizes=[24], norm_kind="batchnorm",
-                                  num_classes=8), lr=2e-2, pretrain_epochs=20),
-    ],
-    task=task, strategy="coca",
-    corruption=CorruptionSpec(kind="gaussian_noise", severity=4),
-    stream=StreamSpec(order="iid_shuffled", batch_size=64, total_samples=1600),
-    n_per_class=200, seed=7)
+from coca_tta.cli import load_config
+from coca_tta.harness import MASK_NAMES, point_config, prepare_models, run, sweep_points
+
+base = load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
 
 
 def sweep(grid):

@@ -9,29 +9,21 @@ anchor.
     python3 demos/label_shift_stress.py
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
-from coca_tta.harness import ModelEntry, RunConfig, prepare_models, run
-from coca_tta.models import ModelSpec
-from coca_tta.shiftgen import SourceTask, StreamSpec
+from coca_tta.cli import load_config
+from coca_tta.harness import prepare_models, run
 
-task = SourceTask(kind="gaussian_mixture", num_classes=8, dims=16,
-                  center_separation=5.0)
-models = [
-    ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(16,),
-                              hidden_sizes=[64, 64], norm_kind="layernorm",
-                              num_classes=8), lr=1e-3, pretrain_epochs=20),
-    ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(16,), hidden_sizes=[24],
-                              norm_kind="batchnorm", num_classes=8), lr=2e-2,
-               pretrain_epochs=20),
-]
+demo = load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
 
 
 def config(order, collapse_threshold):
-    return RunConfig(
-        models=models, task=task, strategy="coca",
-        stream=StreamSpec(order=order, batch_size=64, total_samples=1600),
-        n_per_class=200, collapse_threshold=collapse_threshold, seed=5)
+    """The 8-class pair of configs/demo.json on a clean stream of ``order``."""
+    return replace(demo, corruption=None, stream=replace(demo.stream, order=order),
+                   collapse_threshold=collapse_threshold, seed=5)
 
 
 # stream order and guard leave pretraining as it is, so every run adapts

@@ -7,34 +7,22 @@ Run from the repository root:
     python3 demos/pretrain_and_adapt.py
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
-from coca_tta.harness import ModelEntry, RunConfig, prepare_models, run
-from coca_tta.models import ModelSpec
-from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
+from coca_tta.cli import load_config
+from coca_tta.harness import prepare_models, run
 
-task = SourceTask(kind="gaussian_mixture", num_classes=16, dims=32,
-                  center_separation=4.5)
-# asymmetric pair: a well-trained anchor and a small, undertrained auxiliary
-# that benefits from cross-model pseudo-labels at test time
-models = [
-    ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(32,),
-                              hidden_sizes=[128, 128, 128],
-                              norm_kind="layernorm", num_classes=16),
-               lr=1e-3, pretrain_epochs=45),
-    ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(32,), hidden_sizes=[32],
-                              norm_kind="batchnorm", num_classes=16), lr=0.12,
-               pretrain_epochs=18),
-]
+# configs/reference.json holds an asymmetric pair: a well-trained anchor and
+# a small, undertrained auxiliary that benefits from cross-model
+# pseudo-labels at test time
+reference = load_config(Path(__file__).resolve().parent.parent / "configs" / "reference.json")
 
 
 def config(strategy):
-    return RunConfig(
-        models=models, task=task, strategy=strategy,
-        corruption=CorruptionSpec(kind="gaussian_noise", severity=5),
-        stream=StreamSpec(order="iid_shuffled", batch_size=64,
-                          total_samples=3200),
-        seed=3)
+    return replace(reference, strategy=strategy)
 
 
 print("pretraining and running three strategies on the same corrupted stream")

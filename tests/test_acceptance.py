@@ -4,20 +4,21 @@ ensembling, and the reference benchmark. Each test prints one PASS/FAIL line."""
 import functools
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from coca_tta import autodiff as ad
-from coca_tta.adaptation import (LossMasks, coca_step, ensemble, entropy_rows,
-                                 learn_tau)
+from coca_tta.adaptation import coca_step, ensemble, entropy_rows, learn_tau
 from coca_tta.autodiff import SGD, Tape, Tensor
 from coca_tta.cli import main as cli_main
-from coca_tta.harness import (MASK_NAMES, ModelEntry, RunConfig, _pretrain_job,
-                              _pretrain_one, prepare_models, run)
+from coca_tta.harness import (MASK_NAMES, ModelEntry, _pretrain_job, _pretrain_one,
+                              prepare_models, run)
 from coca_tta.models import ModelSpec, build_model, forward_logits
-from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
+from coca_tta.shiftgen import StreamSpec
 from test_autodiff import check_op
+from test_harness import CONFIGS, committed_config
 
 SEEDS = tuple(range(1, 6))
 PT = 100.0  # accuracy deltas below are quoted in percentage points
@@ -25,32 +26,8 @@ PT = 100.0  # accuracy deltas below are quoted in percentage points
 
 # --- reference benchmark ------------------------------------------------------
 
-REF_TASK = SourceTask(kind="gaussian_mixture", num_classes=16, dims=32,
-                      center_separation=4.5)
-
-
-def ref_entries():
-    return [
-        ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(32,),
-                                  hidden_sizes=[128, 128, 128],
-                                  norm_kind="layernorm", num_classes=16),
-                   lr=1e-3, pretrain_epochs=45),
-        ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(32,),
-                                  hidden_sizes=[32], norm_kind="batchnorm",
-                                  num_classes=16),
-                   lr=0.12, pretrain_epochs=18),
-    ]
-
-
 def ref_config(seed, **overrides):
-    base = dict(
-        models=ref_entries(), task=REF_TASK, strategy="coca",
-        corruption=CorruptionSpec(kind="gaussian_noise", severity=5),
-        stream=StreamSpec(order="iid_shuffled", batch_size=64,
-                          total_samples=3200),
-        seed=seed)
-    base.update(overrides)
-    return RunConfig(**base)
+    return replace(committed_config("reference"), seed=seed, **overrides)
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,7 +249,7 @@ def test_a8_third_model_does_not_hurt():
                                       hidden_sizes=[16], norm_kind="layernorm",
                                       num_classes=16),
                        lr=5e-3, pretrain_epochs=18)
-    entries3 = ref_entries() + [third]
+    entries3 = committed_config("reference").models + [third]
     acc3 = np.mean([ref_run(s, models=entries3).acc_combined for s in SEEDS])
     acc2 = np.mean([r.acc_combined for r in coca_runs()])
     delta = (acc3 - acc2) * PT
@@ -311,22 +288,8 @@ def test_a9_lam_zero_equals_sum_of_entropy_losses():
 # --- A10: byte-identical pipeline outputs --------------------------------------
 
 def _pipeline_config(path: Path) -> Path:
-    doc = {
-        "models": [
-            {"spec": {"kind": "mlp", "input_shape": [8],
-                      "hidden_sizes": [24, 24], "norm_kind": "layernorm",
-                      "num_classes": 4}, "lr": 1e-3, "pretrain_epochs": 6},
-            {"spec": {"kind": "mlp", "input_shape": [8], "hidden_sizes": [12],
-                      "norm_kind": "batchnorm", "num_classes": 4}, "lr": 1e-2,
-             "pretrain_epochs": 6},
-        ],
-        "task": {"kind": "gaussian_mixture", "num_classes": 4, "dims": 8,
-                 "center_separation": 5.0},
-        "stream": {"order": "iid_shuffled", "batch_size": 32,
-                   "total_samples": 192},
-        "corruption": {"kind": "gaussian_noise", "severity": 3},
-        "n_per_class": 60, "seed": 17,
-    }
+    doc = json.loads((CONFIGS / "tiny.json").read_text())
+    doc["seed"] = 17
     p = path / "config.json"
     p.write_text(json.dumps(doc))
     return p

@@ -922,6 +922,47 @@ def step_arrays(out):
             np.array([bd.l_mar, bd.l_ckd, bd.l_sa, bd.l_total, bd.kept_frac])]
 
 
+def oracle_norm_grads(ms, batch):
+    """Norm-parameter gradients of one step's objective on ``batch``, from the
+    composed graph on clones of ``ms``: one model's mean entropy, else the sum
+    of every pairing's composed objective on its composed ensemble, at taus
+    of 1 with every row kept."""
+    clones = [m.clone() for m in ms]
+    keep = np.ones(len(batch), dtype=bool)
+    with Tape():
+        logits = [forward_logits(m, Tensor(batch)) for m in clones]
+        if len(clones) == 1:
+            total = ad.tensor_mean(entropy_rows(logits[0]))
+        else:
+            aux_t, total = logits[-1], Tensor(0.0)
+            for anchor_t in logits[-2::-1]:
+                ens = ensemble(anchor_t.data, aux_t.data, 1.0)
+                p_e_t = _ensemble_composed(anchor_t, aux_t, ens)
+                loss, _ = composed_objective(anchor_t, aux_t, p_e_t, ens.y_hat, keep,
+                                             1.0, LossMasks())
+                total, aux_t = ad.add(total, loss), p_e_t
+        ad.backward(total)
+    return [p.grad for m in clones for p in m.norm_params()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_step_moves_norm_params_by_lr_times_oracle_gradient(k):
+    # from a fresh optimizer, one step moves every norm parameter by -lr times
+    # the objective's gradient, applied here in plain numpy; a co-adaptation
+    # step made 1000x smaller passed every other test
+    ms = [m.clone() for m in pretrained_cascade()[:k]]
+    batch = step_batches(5)[0]
+    lr = 0.05
+    before = [p.data.copy() for m in ms for p in m.norm_params()]
+    expected = [p0 - lr * g for p0, g in zip(before, oracle_norm_grads(ms, batch))]
+    opts = [SGD(m.norm_params(), lr=lr, momentum=0.9) for m in ms]
+    out = multi_model_step(ms, [1.0] * (k - 1), batch, opts, tau_steps=0)
+    assert not out.skipped
+    after = [p.data for m in ms for p in m.norm_params()]
+    for got, want in zip(after, expected):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
 class TestStepMetamorphic:
     """Symmetries of whole co-adaptation steps, over several batches."""
 

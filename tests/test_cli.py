@@ -8,13 +8,15 @@ import json
 import multiprocessing
 import os
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from coca_tta import harness, models
-from coca_tta.cli import ConfigError, build_parser, main, validate_config
+from coca_tta.cli import ConfigError, build_parser, load_config, main, validate_config
 from coca_tta.shiftgen import StreamSpec
+from test_harness import CONFIGS
 
 
 def blas_thread_getter():
@@ -32,30 +34,27 @@ def worker_blas_threads() -> int:
     return blas_thread_getter()()
 
 
-def write_config(path: Path, epochs: int = 6, **overrides) -> Path:
-    """Write a two-MLP config; ``epochs`` is each model entry's pretraining budget."""
-    doc = {
-        "models": [
-            {"spec": {"kind": "mlp", "input_shape": [8],
-                      "hidden_sizes": [24, 24], "norm_kind": "layernorm",
-                      "num_classes": 4}, "lr": 1e-3, "pretrain_epochs": epochs},
-            {"spec": {"kind": "mlp", "input_shape": [8], "hidden_sizes": [12],
-                      "norm_kind": "batchnorm", "num_classes": 4}, "lr": 1e-2,
-             "pretrain_epochs": epochs},
-        ],
-        "task": {"kind": "gaussian_mixture", "num_classes": 4, "dims": 8,
-                 "center_separation": 5.0},
-        "stream": {"order": "iid_shuffled", "batch_size": 32,
-                   "total_samples": 192},
-        "corruption": {"kind": "gaussian_noise", "severity": 3},
-        "strategy": "coca",
-        "n_per_class": 60,
-        "seed": 11,
-    }
+def write_config(path: Path, epochs: Optional[int] = None, **overrides) -> Path:
+    """Write configs/tiny.json with ``overrides``; ``epochs`` sets each model
+    entry's pretraining budget."""
+    doc = json.loads((CONFIGS / "tiny.json").read_text())
+    if epochs is not None:
+        for entry in doc["models"]:
+            entry["pretrain_epochs"] = epochs
     doc.update(overrides)
     p = path / "config.json"
     p.write_text(json.dumps(doc))
     return p
+
+
+CONFIG_FILES = sorted(CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=[p.stem for p in CONFIG_FILES])
+def test_committed_config_loads(path):
+    # a malformed edit fails here rather than in whichever demo reads the
+    # file; loading checks each model's input shape and classes against the task
+    assert load_config(path).models
 
 
 # Removed config fields, at the values that a config file written before

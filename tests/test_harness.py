@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import ctypes
+import importlib
 import inspect
 import json
 import multiprocessing
@@ -22,28 +23,25 @@ from coca_tta.harness import (CSV_HEADER, MASK_NAMES, MetricsRecord, ModelEntry,
                               RunConfig, evaluate_accuracy, mix64,
                               point_config, prepare_models, run, sweep_points)
 from coca_tta.models import ModelSpec, anchor_select, build_model, pretrain
-from coca_tta.shiftgen import CorruptionSpec, SourceTask, StreamSpec
+from coca_tta.shiftgen import SourceTask, StreamSpec
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def committed_config(name: str) -> RunConfig:
+    """configs/<name>.json, read afresh on every call, so no two configs share an entry."""
+    return cli.load_config(CONFIGS / f"{name}.json")
 
 
 def small_config(strategy="coca", seed=0, pretrain_epochs=8, **overrides):
-    """A two-MLP config; ``pretrain_epochs`` is every default entry's budget."""
-    task = SourceTask(kind="gaussian_mixture", num_classes=4, dims=8,
-                      center_separation=5.0)
-    models = [
-        ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(8,),
-                                  hidden_sizes=[24, 24], norm_kind="layernorm",
-                                  num_classes=4), lr=1e-3, pretrain_epochs=pretrain_epochs),
-        ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(8,), hidden_sizes=[12],
-                                  norm_kind="batchnorm", num_classes=4), lr=1e-2,
-                   pretrain_epochs=pretrain_epochs),
-    ]
-    kwargs = dict(models=models, task=task,
-                  stream=StreamSpec(order="iid_shuffled", batch_size=32,
-                                    total_samples=256),
-                  corruption=CorruptionSpec(kind="gaussian_noise", severity=3),
-                  strategy=strategy, n_per_class=60, seed=seed)
-    kwargs.update(overrides)
-    return RunConfig(**kwargs)
+    """configs/tiny.json on a 256-sample stream; ``pretrain_epochs`` is every
+    default entry's budget."""
+    tiny = committed_config("tiny")
+    return replace(tiny, **{
+        "models": [replace(e, pretrain_epochs=pretrain_epochs) for e in tiny.models],
+        "stream": replace(tiny.stream, total_samples=256),
+        "strategy": strategy, "seed": seed, **overrides})
 
 
 class TestMix64:
@@ -261,6 +259,15 @@ class TestBenchmarkContract:
         assert {"spec", "lr", "pretrain_epochs"} <= {f.name for f in fields(ModelEntry)}
         assert {"models", "task", "strategy", "corruption", "stream", "n_per_class",
                 "collapse_threshold", "seed"} <= {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("seed", [0, 1, 201])
+    def test_benchmark_mlp_config_is_the_committed_reference(self, monkeypatch, seed):
+        # perfbench/workloads.py still writes the reference pair out by hand;
+        # this keeps that copy from drifting from configs/reference.json
+        monkeypatch.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        expected = replace(committed_config("reference"), n_per_class=50, seed=seed)
+        assert workloads.mlp_iid_config(seed) == expected
 
     def test_autodiff_ops_the_tracer_wraps(self):
         # perfbench/tracer.py wraps these by name; a renamed op would zero
@@ -483,14 +490,11 @@ class TestProcessPool:
     def test_serial_pretraining_ignores_the_blas_thread_count(self):
         if harness.usable_cpus() < 2:
             pytest.skip("OpenBLAS runs one thread on one CPU")
-        # 64x128 by 128x128 products lie above OpenBLAS's threading threshold
-        anchor = ModelEntry(spec=ModelSpec(kind="mlp", input_shape=(32,),
-                                           hidden_sizes=[128, 128, 128],
-                                           norm_kind="layernorm", num_classes=16), lr=1e-3,
-                           pretrain_epochs=3)
-        task = SourceTask(kind="gaussian_mixture", num_classes=16, dims=32,
-                          center_separation=4.5)
-        cfg = RunConfig(models=[anchor], task=task, strategy="tent", n_per_class=20, seed=5)
+        # the reference anchor's 64x128 by 128x128 products lie above
+        # OpenBLAS's threading threshold
+        ref = committed_config("reference")
+        cfg = replace(ref, models=[replace(ref.models[0], pretrain_epochs=3)], strategy="tent",
+                      corruption=None, stream=StreamSpec(), n_per_class=20, seed=5)
         blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         env = {k: v for k, v in os.environ.items() if k not in blas_vars}
         # the fresh interpreter imports the package under test, not another copy
