@@ -47,7 +47,6 @@ class LossMasks(Record):
 @dataclass
 class EnsembleOutput:
     p_a: np.ndarray        # anchor logits (B, C)
-    p_s: np.ndarray        # auxiliary logits (B, C)
     tau: float
     T: np.ndarray          # per-sample balance factor (B,)
     p_e: np.ndarray        # (p_a + p_s / tau) * (1 / T)
@@ -170,7 +169,7 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
     T = np.where((max_a > 0) & (max_e > 0), max_e / np.where(max_a > 0, max_a, 1.0), 1.0)
     p_e = pe_prime * (1.0 / T[:, None])
     y_hat = p_e.argmax(axis=1)
-    return EnsembleOutput(p_a=p_a, p_s=p_s, tau=float(tau), T=T, p_e=p_e, y_hat=y_hat)
+    return EnsembleOutput(p_a=p_a, tau=float(tau), T=T, p_e=p_e, y_hat=y_hat)
 
 
 def agreement_rate(p_a: np.ndarray, p_s: np.ndarray) -> float:
@@ -188,7 +187,7 @@ def drop_auxiliary(ens: EnsembleOutput) -> EnsembleOutput:
     keep pulling the auxiliary back toward agreement.
     """
     ones = np.ones(ens.p_a.shape[0])
-    return EnsembleOutput(p_a=ens.p_a, p_s=ens.p_s, tau=ens.tau, T=ones, p_e=ens.p_a,
+    return EnsembleOutput(p_a=ens.p_a, tau=ens.tau, T=ones, p_e=ens.p_a,
                           y_hat=ens.p_a.argmax(axis=1), aux_dropped=True)
 
 
@@ -357,6 +356,8 @@ def multi_model_step(models_desc: Sequence[ModelHandle],
         raise ValueError(f"expected {k - 1} taus, got {len(taus)}")
     if len(optimizers) != k:
         raise ValueError(f"expected {k} optimizers, one per model, got {len(optimizers)}")
+    if len(batch) == 0:
+        raise ValueError("multi_model_step requires a batch of >= 1 row, got 0")
     masks = masks or LossMasks()
 
     with Tape():

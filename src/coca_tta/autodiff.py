@@ -513,14 +513,13 @@ class SGD:
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.velocity = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]  # holds lr * v
 
     def step(self) -> None:
         for p in self.params:
             if p.grad is None:
                 raise ValueError("sgd step requires a populated grad on every parameter")
-        for p, v, scratch in zip(self.params, self.velocity, self._scratch):
+        for p, v in zip(self.params, self.velocity):
             v *= self.momentum
             v += p.grad
-            p.data -= np.multiply(v, self.lr, out=scratch)
+            p.data -= self.lr * v
             p.grad = None

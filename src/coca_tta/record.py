@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import types
 import typing
 
 
 class Record:
     """Base of the config dataclasses: one schema for reading and writing."""
 
-    # written ahead of the fields and ignored when read, e.g. a schema version
+    # written ahead of the fields, e.g. a schema version; when read, a tag key
+    # may be absent, but present it must hold this value
     _tag = {}
 
     def to_dict(self) -> dict:
@@ -36,6 +36,9 @@ class Record:
         unknown = d.keys() - fields.keys() - cls._tag.keys()
         if unknown:
             raise ValueError(f"{path}: unknown keys {sorted(unknown, key=str)}")
+        for key, want in cls._tag.items():
+            if key in d and reader(type(want))(d[key], f"{path}.{key}") != want:
+                raise ValueError(f"{path}.{key}: expected {want!r}, got {d[key]!r}")
         kwargs = {}
         for name, (read, required) in fields.items():
             if name in d:
@@ -74,7 +77,7 @@ def reader(tp):
         return _SCALARS[tp]
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     inner = [a for a in args if a is not type(None)]
-    if origin in (typing.Union, types.UnionType) and len(inner) == 1 < len(args):
+    if origin is typing.Union and len(inner) == 1 < len(args):
         read = reader(inner[0])
         return lambda v, path: None if v is None else read(v, path)
     if origin in (list, tuple):

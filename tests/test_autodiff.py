@@ -613,6 +613,56 @@ class TestTapeSemantics:
             inner.__exit__(None, None, None)
         assert ad.active_tape() is None
 
+    def test_backward_on_a_consumed_tape_is_a_no_op(self):
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.tensor_sum(ad.mul(p, p))
+            ad.backward(loss)
+            assert len(tape) == 0
+            grad, loss_grad = p.grad, loss.grad
+            ad.backward(loss)
+            constant = Tensor(3.0)
+            ad.backward(constant)
+        assert p.grad is grad and loss.grad is loss_grad
+        assert np.array_equal(grad, [2.0, -4.0])
+        assert constant.grad is None
+
+
+INPUT_CHECKS = [
+    # (what is wrong, the call, the exception, a fragment of its message)
+    ("backward_without_tape", lambda: ad.backward(Tensor(0.0)), RuntimeError,
+     "backward called with no active tape"),
+    ("add_without_broadcast", lambda: ad.add(np.ones((2, 3)), np.ones(4)), ShapeError,
+     "add: shapes (2, 3) and (4,) do not broadcast"),
+    ("linear_1d_input", lambda: ad.linear(np.ones(3), np.ones((3, 2)), np.ones(2)),
+     ShapeError, "linear: incompatible shapes (3,) @ (3, 2)"),
+    ("linear_bias", lambda: ad.linear(np.ones((4, 3)), np.ones((3, 2)), np.ones(3)),
+     ShapeError, "linear: bias shape (3,) does not match 2 outputs"),
+    ("conv2d_3d_input", lambda: ad.conv2d(np.ones((2, 6, 6)), np.ones((4, 1, 3, 3))),
+     ShapeError, "conv2d: expected 4-D input and kernel"),
+    ("conv2d_5x5_kernel", lambda: ad.conv2d(np.ones((2, 1, 6, 6)), np.ones((4, 1, 5, 5))),
+     ShapeError, "conv2d: only 3x3 kernels supported"),
+    ("conv2d_channels", lambda: ad.conv2d(np.ones((2, 2, 6, 6)), np.ones((4, 1, 3, 3))),
+     ShapeError, "conv2d: channel mismatch"),
+    ("batchnorm_3d_input", lambda: ad.batchnorm(np.ones((4, 3, 5)), np.ones(3), np.zeros(3)),
+     ShapeError, "batchnorm: expected 2-D or 4-D input, got (4, 3, 5)"),
+    ("layernorm_0d_input", lambda: ad.layernorm(np.array(1.0), np.ones(1), np.zeros(1)),
+     ShapeError, "layernorm: input must have at least one axis"),
+    ("affine_size", lambda: ad.layernorm(np.ones((4, 5)), np.ones(4), np.zeros(5)),
+     ShapeError, "layernorm: affine shapes (4,)/(5,) do not match 5 features"),
+    ("sgd_negative_lr", lambda: SGD([], lr=-0.1), ValueError,
+     "learning rate must be non-negative, got -0.1"),
+    ("sgd_momentum_one", lambda: SGD([], lr=0.1, momentum=1.0), ValueError,
+     "momentum must be in [0, 1), got 1.0"),
+]
+
+
+@pytest.mark.parametrize("call,error,message", [c[1:] for c in INPUT_CHECKS],
+                         ids=[c[0] for c in INPUT_CHECKS])
+def test_input_check_raises(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
 
 class TestSGD:
     def test_single_step(self):

@@ -215,8 +215,14 @@ class TestValidateConfig:
         # used to be accepted and then ignored
         ({"stream": {"order": "iid_shuffled", "batch_size": 32, "total_samples": 192,
                      "seed": 3}}, "<root>.stream"),
+        # each used to load as schema 1; true is refused although True == 1
+        ({"schema": 99}, "<root>.schema"),
+        ({"schema": "one"}, "<root>.schema"),
+        ({"schema": None}, "<root>.schema"),
+        ({"schema": True}, "<root>.schema"),
     ], ids=["mask_str", "severity_float", "n_per_class_float", "seed_bool",
-            "models_int", "models_null", "corruption_empty", "stream_seed"])
+            "models_int", "models_null", "corruption_empty", "stream_seed",
+            "schema_99", "schema_str", "schema_null", "schema_true"])
     def test_rejects_malformed_value_naming_its_path(self, tmp_path, capsys, overrides, path):
         cfg = write_config(tmp_path, **overrides)
         assert main(["adapt", str(cfg), "--out", str(tmp_path / "out")]) == 1

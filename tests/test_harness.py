@@ -644,6 +644,10 @@ class TestSweeps:
         cfg = point_config(small_config(), {"severity": 5}, 0)
         assert cfg.corruption.severity == 5
 
+    def test_severity_override_requires_a_corruption_spec(self):
+        with pytest.raises(ValueError, match="<point 2>: severity override requires"):
+            point_config(small_config(corruption=None), {"severity": 3}, 2)
+
     def test_apply_override_unknown_key(self):
         with pytest.raises(ValueError):
             point_config(small_config(), {"nonsense": 1}, 0)

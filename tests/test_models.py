@@ -1,6 +1,7 @@
 """Model construction, training, ranking, and checkpoint round-trips."""
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coca_tta import autodiff as ad
-from coca_tta.autodiff import ShapeError, Tape, Tensor
+from coca_tta.autodiff import SGD, ShapeError, Tape, Tensor
 from coca_tta.models import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError,
                              ModelSpec, anchor_select, build_model, cross_entropy_mean,
                              forward_logits, load_checkpoint, param_shapes, pretrain,
@@ -47,6 +48,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="convnet", input_shape=(1, 8, 8), hidden_sizes=[4],
                       norm_kind="batchnorm", num_classes=2)
+
+    @pytest.mark.parametrize("kind,input_shape,norm_kind,message", [
+        ("mlp", (4,), "groupnorm", "unsupported norm kind: 'groupnorm'"),
+        ("mlp", (1, 8, 8), "layernorm", "mlp input_shape must be 1-D"),
+        ("convnet", (64,), "batchnorm", "convnet input_shape must be (channels, height, width)"),
+    ], ids=["norm_kind", "mlp_input_rank", "convnet_input_rank"])
+    def test_rejects_malformed_spec(self, kind, input_shape, norm_kind, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelSpec(kind=kind, input_shape=input_shape, hidden_sizes=[4, 4],
+                      norm_kind=norm_kind, num_classes=2)
 
 
 class TestBuildModel:
@@ -320,6 +331,30 @@ class TestPretrain:
         model = build_model(small_spec(hidden=(8,), dims=8, classes=4), seed=0)
         with pytest.raises(ValueError):
             pretrain(model, feats, labels, epochs=0, lr=0.1, seed=0)
+
+    def test_batchnorm_skips_a_one_sample_final_batch(self, monkeypatch):
+        # 65 samples in batches of 64 leave one sample over each epoch: a
+        # batchnorm model takes no step on it, and it is not in the accuracy
+        from coca_tta import models
+        feats, labels = self.task_data()
+        model = build_model(small_spec(hidden=(8,), norm="batchnorm", dims=8, classes=4),
+                            seed=0)
+        steps, batches = [], []
+        real_step, real_ce = SGD.step, models.cross_entropy_mean
+
+        def counting_step(opt):
+            steps.append(len(batches))
+            real_step(opt)
+
+        def recording_ce(logits, yb):
+            batches.append((logits.data.argmax(axis=1) == yb).sum())
+            return real_ce(logits, yb)
+
+        monkeypatch.setattr(SGD, "step", counting_step)
+        monkeypatch.setattr(models, "cross_entropy_mean", recording_ce)
+        log = pretrain(model, feats[:65], labels[:65], epochs=3, lr=0.05, seed=0)
+        assert steps == [1, 2, 3]
+        assert [e["accuracy"] for e in log] == [c / 64 for c in batches]
 
 
 class TestAnchorSelect:

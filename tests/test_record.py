@@ -162,3 +162,11 @@ def test_rejects_malformed_value(path, value, message):
 def test_decode_rejects_wrong_json_type(tp, value):
     with pytest.raises(ValueError, match=re.escape("<x>: expected")):
         reader(tp)(value, "<x>")
+
+
+@pytest.mark.parametrize("tp", [dict[str, int], set[int], complex, int | None],
+                         ids=["dict", "set", "complex", "int_or_none"])
+def test_reader_rejects_an_unsupported_type(tp):
+    # config fields spell an optional value Optional[X]; X | None has no reader
+    with pytest.raises(TypeError, match="no reader for config type"):
+        reader(tp)

@@ -18,6 +18,10 @@ class TestSourceTask:
         with pytest.raises(ValueError):
             SourceTask(kind="text", num_classes=2)
 
+    def test_rejects_a_single_class(self):
+        with pytest.raises(ValueError, match="num_classes must be >= 2"):
+            SourceTask(kind="gaussian_mixture", num_classes=1)
+
     def test_rejects_more_classes_than_dims(self):
         with pytest.raises(ValueError):
             SourceTask(kind="gaussian_mixture", num_classes=33, dims=32)
