@@ -31,6 +31,17 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be finite and > 0, got {tau}")
 
 
+def _check_logit_pair(op: str, p_a, p_s) -> tuple[np.ndarray, np.ndarray]:
+    """Both models' logits as float64 arrays of one (B, C) shape with B >= 1."""
+    p_a = np.asarray(p_a, dtype=np.float64)
+    p_s = np.asarray(p_s, dtype=np.float64)
+    if p_a.shape != p_s.shape:
+        raise ad.ShapeError(f"{op}: shapes {p_a.shape} and {p_s.shape} differ")
+    if p_a.ndim != 2 or p_a.shape[0] == 0:
+        raise ad.ShapeError(f"{op}: expected 2-D logits with at least one row, got {p_a.shape}")
+    return p_a, p_s
+
+
 def _clamp_tau(tau: float) -> float:
     if math.isnan(tau):
         raise ValueError("tau candidate is NaN")
@@ -94,10 +105,7 @@ def learn_tau(tau: float, p_a: np.ndarray, p_s: np.ndarray, steps: int = TAU_STE
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     _check_tau(tau)
-    p_a = np.asarray(p_a, dtype=np.float64)
-    p_s = np.asarray(p_s, dtype=np.float64)
-    if p_a.shape != p_s.shape:
-        raise ad.ShapeError(f"learn_tau: shapes {p_a.shape} and {p_s.shape} differ")
+    p_a, p_s = _check_logit_pair("learn_tau", p_a, p_s)
     clamp = LOGIT_CLAMP
     ea = np.exp(np.clip(p_a, -clamp, clamp))
     # division is monotone, so amax / tau < clamp puts every |p_s / tau| inside
@@ -159,10 +167,7 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
     objective and the next pairing read this p_e.
     """
     _check_tau(tau)
-    p_a = np.asarray(p_a, dtype=np.float64)
-    p_s = np.asarray(p_s, dtype=np.float64)
-    if p_a.shape != p_s.shape:
-        raise ad.ShapeError(f"ensemble: shapes {p_a.shape} and {p_s.shape} differ")
+    p_a, p_s = _check_logit_pair("ensemble", p_a, p_s)
     pe_prime = p_a + p_s / tau
     max_a = p_a.max(axis=1)
     max_e = pe_prime.max(axis=1)
@@ -174,7 +179,8 @@ def ensemble(p_a: np.ndarray, p_s: np.ndarray, tau: float) -> EnsembleOutput:
 
 def agreement_rate(p_a: np.ndarray, p_s: np.ndarray) -> float:
     """Fraction of samples on which the two models' argmax predictions agree."""
-    return float((np.asarray(p_a).argmax(axis=1) == np.asarray(p_s).argmax(axis=1)).mean())
+    p_a, p_s = _check_logit_pair("agreement_rate", p_a, p_s)
+    return float((p_a.argmax(axis=1) == p_s.argmax(axis=1)).mean())
 
 
 def drop_auxiliary(ens: EnsembleOutput) -> EnsembleOutput:

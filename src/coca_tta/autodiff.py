@@ -440,47 +440,68 @@ def batchnorm(x, scale, shift) -> Tensor:
     """Batch normalization over current-batch statistics with trainable affine.
 
     Features are axis 1; statistics are taken over all other axes. No
-    running statistics are kept.
+    running statistics are kept. Statistics and affine share the feature
+    axis, so with S a sum over the normalized axes, ``xc = x - S(x) / n``
+    and ``inv = 1 / sqrt(S(xc * xc) / n + eps)``, the affine folds into one
+    factor per feature, ``a = scale * inv``: ``out = xc * a + shift``. The
+    backward (Ioffe & Szegedy, 2015) takes ``gb = S(g)``, ``gs = inv * S(g * xc)``
+    and ``gx = a * g - (a * inv * gs / n) * xc - a * gb / n``, which holds
+    because S(g * scale) = scale * gb and S(g * scale * xhat) = scale * gs.
     """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     if x.data.ndim not in (2, 4):
         raise ShapeError(f"batchnorm: expected 2-D or 4-D input, got {x.shape}")
     if x.shape[0] < 2:
         raise ShapeError(f"batchnorm: batch size must be >= 2, got {x.shape[0]}")
+    n = math.prod(x.shape[:1] + x.shape[2:])
+    _check_norm("batchnorm", x, scale, shift, x.shape[1], n)
     axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
-    return _normalize("batchnorm", x, scale, shift, axes, feat_axis=1)
+    ash = (1, -1) + (1,) * (x.data.ndim - 2)
+    dims = "abcd"[:x.data.ndim]
+    total, dot = f"{dims}->b", f"{dims},{dims}->b"   # S(.) and S(. * .), per feature
+    # add.reduce / n is what ndarray.mean computes
+    xc = x.data - np.add.reduce(x.data, axis=axes, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.einsum(dot, xc, xc) / n + _EPS_NORM)
+    a = scale.data.reshape(-1) * inv
+    out = xc * a.reshape(ash)
+    out += shift.data.reshape(ash)
+
+    def bwd(g):
+        gb = np.einsum(total, g) if shift.requires_grad or x.requires_grad else None
+        gs = inv * np.einsum(dot, g, xc) if scale.requires_grad or x.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gx = g * a.reshape(ash)
+            gx -= xc * (a * inv * gs / n).reshape(ash)
+            gx -= (a * gb / n).reshape(ash)
+        return (gx, None if gs is None else gs.reshape(scale.shape),
+                None if gb is None else gb.reshape(shift.shape))
+
+    return _record("batchnorm", (x, scale, shift), out, bwd)
 
 
 def layernorm(x, scale, shift) -> Tensor:
-    """Per-sample normalization over the last axis with trainable affine."""
+    """Per-sample normalization over the last axis with trainable affine.
+
+    It centers its input once (``xc = x - mean``, ``var = mean(xc * xc)``,
+    ``xhat = xc * inv``), the operations ``np.var`` performs, so the output
+    is byte-equal to the ``mean``/``var`` formula; the temporaries are
+    reused with ``out=``.
+    """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     if x.data.ndim < 1:
         raise ShapeError("layernorm: input must have at least one axis")
-    return _normalize("layernorm", x, scale, shift, (-1,), feat_axis=-1)
-
-
-def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor,
-               axes: tuple[int, ...], feat_axis: int) -> Tensor:
-    """Normalize x over ``axes``, then scale and shift each feature of ``feat_axis``.
-
-    The affine gradients reduce over every axis but ``feat_axis``; the input
-    gradient reduces over ``axes``.
-    """
-    nfeat = x.shape[feat_axis]
-    if scale.data.size != nfeat or shift.data.size != nfeat:
-        raise ShapeError(
-            f"{op}: affine shapes {scale.shape}/{shift.shape} do not match {nfeat} features")
-    feat_axis %= x.data.ndim
-    others = tuple(i for i in range(x.data.ndim) if i != feat_axis)
-    sc = scale.data.reshape([nfeat if i == feat_axis else 1 for i in range(x.data.ndim)])
-    n = math.prod(x.shape[a] for a in axes)
-    # in place; add.reduce / n is what ndarray.mean and np.var compute
-    xc = x.data - np.add.reduce(x.data, axis=axes, keepdims=True) / n
+    n = x.shape[-1]
+    _check_norm("layernorm", x, scale, shift, n, n)
+    others = tuple(range(x.data.ndim - 1))
+    sc = scale.data.reshape(-1)
+    # add.reduce / n is what ndarray.mean and np.var compute
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
     sq = xc * xc
-    inv = 1.0 / np.sqrt(np.add.reduce(sq, axis=axes, keepdims=True) / n + _EPS_NORM)
+    inv = 1.0 / np.sqrt(np.add.reduce(sq, axis=-1, keepdims=True) / n + _EPS_NORM)
     xhat = np.multiply(xc, inv, out=sq)
     out = np.multiply(xhat, sc, out=xc)
-    out += shift.data.reshape(sc.shape)
+    out += shift.data.reshape(-1)
 
     def bwd(g):
         t = g * xhat
@@ -490,15 +511,24 @@ def _normalize(op: str, x: Tensor, scale: Tensor, shift: Tensor,
         if x.requires_grad:
             # (inv / n) * (n * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat))
             gx = g * sc
-            s2 = np.multiply(gx, xhat, out=t).sum(axis=axes, keepdims=True)
-            s1 = gx.sum(axis=axes, keepdims=True)
+            s2 = np.multiply(gx, xhat, out=t).sum(axis=-1, keepdims=True)
+            s1 = gx.sum(axis=-1, keepdims=True)
             gx *= n
             gx -= s1
             gx -= np.multiply(xhat, s2, out=t)
             gx *= inv / n
         return gx, gs, gb
 
-    return _record(op, (x, scale, shift), out, bwd)
+    return _record("layernorm", (x, scale, shift), out, bwd)
+
+
+def _check_norm(op: str, x: Tensor, scale: Tensor, shift: Tensor, nfeat: int, n: int) -> None:
+    """An affine of nfeat features, and n > 0 elements per statistic (0 / 0 otherwise)."""
+    if scale.data.size != nfeat or shift.data.size != nfeat:
+        raise ShapeError(
+            f"{op}: affine shapes {scale.shape}/{shift.shape} do not match {nfeat} features")
+    if n == 0:
+        raise ShapeError(f"{op}: input {x.shape} has no elements to normalize over")
 
 
 class SGD:

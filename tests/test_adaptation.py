@@ -1,6 +1,7 @@
 """Temperature learning, ensembling, losses, and co-adaptation steps."""
 
 import functools
+import re
 import warnings
 
 import numpy as np
@@ -91,6 +92,13 @@ class TestLearnTau:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ad.ShapeError, match="learn_tau: shapes"):
             learn_tau(1.0, np.zeros((2, 3)), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 2, 3)], ids=["empty", "1d", "3d"])
+    def test_rejects_logits_that_are_not_a_batch(self, shape):
+        # an empty batch divided 0 by 0; 1-D logits returned a tau
+        with pytest.raises(ad.ShapeError, match=re.escape(
+                f"learn_tau: expected 2-D logits with at least one row, got {shape}")):
+            learn_tau(1.0, np.zeros(shape), np.zeros(shape))
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"),
                                      0.0, -0.0, -1.0])
@@ -346,6 +354,17 @@ class TestCollapseGuard:
         p_a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         p_s = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 2.0], [0.0, 2.0]])
         assert agreement_rate(p_a, p_s) == 0.5
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,)], ids=["empty", "1d"])
+    def test_agreement_rate_rejects_logits_that_are_not_a_batch(self, shape):
+        # an empty batch took the mean of an empty slice
+        with pytest.raises(ad.ShapeError, match=re.escape(
+                f"agreement_rate: expected 2-D logits with at least one row, got {shape}")):
+            agreement_rate(np.zeros(shape), np.zeros(shape))
+
+    def test_agreement_rate_rejects_a_shape_mismatch(self):
+        with pytest.raises(ad.ShapeError, match=r"agreement_rate: shapes \(2, 3\) and \(2, 4\) differ"):
+            agreement_rate(np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_drop_auxiliary_falls_back_to_anchor(self):
         p_a = np.array([[3.0, 1.0]])

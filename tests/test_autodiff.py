@@ -33,41 +33,51 @@ def numeric_grad(f, x, eps=1e-6):
 
 
 def check_op(build, shapes, n_cases=100, seed=0, rel_tol=1e-4, low=-2.0, high=2.0):
-    """Compare tape gradients against central differences on random inputs.
-
-    build(*tensors) must return a Tensor of any shape; the check reduces
-    it to a scalar with a fixed random projection so every output element
-    influences the loss.
-    """
+    """Compare tape gradients against central differences on random inputs."""
     rng = np.random.default_rng(seed)
     for _ in range(n_cases):
-        arrays = [rng.uniform(low, high, size=s) for s in shapes]
-        proj = None
+        check_grads_at(build, [rng.uniform(low, high, size=s) for s in shapes], rng, rel_tol)
 
-        def scalar_loss(*tensors):
-            nonlocal proj
-            out = build(*tensors)
-            if proj is None:
-                proj = rng.standard_normal(out.data.shape)
-            return ad.tensor_sum(ad.mul(out, Tensor(proj)))
 
-        params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        with Tape():
-            loss = scalar_loss(*params)
-            ad.backward(loss)
+def check_grads_at(build, arrays, rng, rel_tol=1e-4, frozen=()):
+    """Compare the tape gradients of build at ``arrays`` against central differences.
 
-        for k, a in enumerate(arrays):
-            def f(x, k=k):
-                args = [arrays[j] if j != k else x for j in range(len(arrays))]
-                with Tape():
-                    val = scalar_loss(*[Tensor(v) for v in args]).item()
-                return val
+    build(*tensors) must return a Tensor of any shape; the check reduces
+    it to a scalar with a random projection drawn from rng, so every output
+    element influences the loss. The tape sees each array in its own memory
+    layout. Inputs in ``frozen`` do not require a gradient and must get none.
+    """
+    proj = None
 
-            num = numeric_grad(f, a.copy())
-            got = params[k].grad
-            denom = max(np.abs(num).max(), 1.0)
-            assert got is not None
-            assert np.abs(got - num).max() / denom < rel_tol
+    def scalar_loss(*tensors):
+        nonlocal proj
+        out = build(*tensors)
+        if proj is None:
+            proj = rng.standard_normal(out.data.shape)
+        return ad.tensor_sum(ad.mul(out, Tensor(proj)))
+
+    params = [Tensor(a.copy(order="K"), requires_grad=k not in frozen)
+              for k, a in enumerate(arrays)]
+    with Tape():
+        loss = scalar_loss(*params)
+        ad.backward(loss)
+
+    for k, a in enumerate(arrays):
+        got = params[k].grad
+        if k in frozen:
+            assert got is None
+            continue
+
+        def f(x, k=k):
+            args = [arrays[j] if j != k else x for j in range(len(arrays))]
+            with Tape():
+                val = scalar_loss(*[Tensor(v) for v in args]).item()
+            return val
+
+        num = numeric_grad(f, a.copy())
+        denom = max(np.abs(num).max(), 1.0)
+        assert got is not None
+        assert np.abs(got - num).max() / denom < rel_tol
 
 
 class TestElementwiseGrads:
@@ -386,10 +396,42 @@ def out_of_place_norm_grads(x, sc, g, axes):
     return gx, gs, gb
 
 
-NORM_CASES = [
-    (ad.batchnorm, (8, 5), (0,), (1, 5), None),
-    (ad.batchnorm, (4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), None),
-    (ad.batchnorm, (4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), (0, 3, 1, 2)),
+def closed_form_batchnorm(x, scale, shift, g, axes, ash):
+    """Batchnorm's closed form written out of place: output and (gx, gs, gb).
+
+    Every temporary is fresh, and the sums are the kernel's: np.sum for the
+    mean, one einsum per per-feature sum over the normalized axes.
+    """
+    dims = "abcd"[:x.ndim]
+    total, dot = f"{dims}->b", f"{dims},{dims}->b"
+    n = int(np.prod([x.shape[i] for i in axes]))
+    xc = x - x.sum(axis=axes, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.einsum(dot, xc, xc) / n + ad._EPS_NORM)
+    a = scale * inv
+    out = xc * a.reshape(ash) + shift.reshape(ash)
+    gb = np.einsum(total, g)
+    gs = inv * np.einsum(dot, g, xc)
+    gx = g * a.reshape(ash) - xc * (a * inv * gs / n).reshape(ash) - (a * gb / n).reshape(ash)
+    return out, (gx, gs, gb)
+
+
+BATCHNORM_LAYOUTS = [
+    ((8, 5), (0,), (1, 5), None),
+    ((4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), None),
+    ((4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), (0, 3, 1, 2)),
+]
+BATCHNORM_LAYOUT_IDS = ["2d", "4d", "4d-channel-last-memory"]
+
+
+def norm_input(rng, shape, layout):
+    """A shifted, scaled normal input; channel-last in memory when ``layout`` is set."""
+    x = rng.standard_normal(shape) * 3.0 + 1.5
+    if layout is not None:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(layout)
+    return x
+
+
+NORM_CASES = [(ad.batchnorm, *case) for case in BATCHNORM_LAYOUTS] + [
     (ad.layernorm, (6, 5), (-1,), (1, 5), None),
     (ad.layernorm, (2, 3, 7), (-1,), (1, 1, 7), None),
 ]
@@ -398,7 +440,9 @@ NORM_IDS = ["batchnorm-2d", "batchnorm-4d", "batchnorm-4d-channel-last-memory",
 
 
 class TestConvBlockKernels:
-    """relu, the norms and conv2d keep their values while changing their kernels."""
+    """relu, layernorm and conv2d keep their values while changing their kernels;
+    batchnorm matches its closed form byte for byte and the mean/var formula to
+    within a few ulp."""
 
     SPECIALS = [-0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
 
@@ -415,19 +459,35 @@ class TestConvBlockKernels:
                         out = ad.relu(Tensor(a)).data
                         assert out.tobytes() == np.where(a > 0, a, 0.0).tobytes(), (n, special, pos)
 
-    @pytest.mark.parametrize("shape,axes,ash,layout", [
-        ((8, 5), (0,), (1, 5), None),
-        ((4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), None),
-        ((4, 3, 4, 5), (0, 2, 3), (1, 3, 1, 1), (0, 3, 1, 2)),
-    ], ids=["2d", "4d", "4d-channel-last-memory"])
+    @pytest.mark.parametrize("shape,axes,ash,layout", BATCHNORM_LAYOUTS, ids=BATCHNORM_LAYOUT_IDS)
     def test_batchnorm_forward_byte_equal_to_var_formula(self, shape, axes, ash, layout):
+        # pinned to the closed form; the next test bounds it against the
+        # mean/var formula of its name
         rng = np.random.default_rng(12)
-        x = rng.standard_normal(shape) * 3.0 + 1.5
-        if layout is not None:
-            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(layout)
+        x = norm_input(rng, shape, layout)
         scale, shift = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
         out = ad.batchnorm(Tensor(x), Tensor(scale), Tensor(shift)).data
-        assert out.tobytes() == var_formula_norm(x, scale, shift, axes, ash).tobytes()
+        want = closed_form_batchnorm(x, scale, shift, np.zeros(shape), axes, ash)[0]
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,axes,ash,layout", BATCHNORM_LAYOUTS, ids=BATCHNORM_LAYOUT_IDS)
+    def test_batchnorm_within_1e_13_of_the_var_formula(self, shape, axes, ash, layout):
+        # output and all three gradients over 50 seeds, each within 1e-13 of
+        # its reference array's largest magnitude (about 11 ulp of it was the
+        # worst case seen over 200 seeds)
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            x = norm_input(rng, shape, layout)
+            scale, shift = rng.standard_normal((2, shape[1]))
+            g = rng.standard_normal(shape)
+            tensors = [Tensor(a, requires_grad=True) for a in (x, scale, shift)]
+            with Tape():
+                out = ad.batchnorm(*tensors)
+                ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+            refs = [var_formula_norm(x, scale, shift, axes, ash),
+                    *out_of_place_norm_grads(x, scale.reshape(ash), g, axes)]
+            for got, ref in zip([out.data] + [t.grad for t in tensors], refs):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), seed
 
     @pytest.mark.parametrize("shape", [(6, 5), (2, 3, 7)])
     def test_layernorm_forward_byte_equal_to_var_formula(self, shape):
@@ -451,16 +511,17 @@ class TestConvBlockKernels:
     @pytest.mark.parametrize("op,shape,axes,ash,layout", NORM_CASES, ids=NORM_IDS)
     def test_norm_grads_byte_equal_to_out_of_place_formula(self, op, shape, axes, ash, layout):
         rng = np.random.default_rng(15)
-        x = rng.standard_normal(shape) * 3.0 + 1.5
-        if layout is not None:
-            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(layout)
+        x = norm_input(rng, shape, layout)
         scale, shift = rng.standard_normal((2, max(ash)))
         g = rng.standard_normal(shape)
         tensors = [Tensor(a, requires_grad=True) for a in (x, scale, shift)]
         with Tape():
             out = op(*tensors)
             ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
-        ref = out_of_place_norm_grads(x, scale.reshape(ash), g, axes)
+        if op is ad.batchnorm:
+            ref = closed_form_batchnorm(x, scale, shift, g, axes, ash)[1]
+        else:
+            ref = out_of_place_norm_grads(x, scale.reshape(ash), g, axes)
         for got, want in zip([t.grad for t in tensors], ref):
             assert got.tobytes() == want.tobytes()
 
@@ -527,11 +588,64 @@ class TestNormGrads:
         for got, ref in pairs:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("shape,frozen,constant,channel_last", [
+        ((2, 5), (), False, False),
+        ((2, 3, 2, 3), (), False, False),
+        ((8, 5), (), True, False),
+        ((4, 3, 4, 4), (), True, False),
+        ((8, 5), (0,), False, False),
+        ((4, 3, 4, 4), (0,), False, False),
+        ((4, 3, 4, 4), (1, 2), False, False),
+        ((4, 3, 4, 4), (), False, True),
+    ], ids=["batch-2-2d", "batch-2-4d", "constant-channel-2d", "constant-channel-4d",
+            "x-frozen-2d", "x-frozen-4d", "affine-frozen", "channel-last-memory"])
+    def test_batchnorm_edge_case_grads(self, shape, frozen, constant, channel_last):
+        # a constant channel has variance 0, so its inv is 1 / sqrt(eps); a
+        # frozen input must get no gradient while the others stay right
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            x, scale, shift = (rng.uniform(-2.0, 2.0, s) for s in (shape, shape[1], shape[1]))
+            if constant:
+                x[:, 1] = 0.7
+            if channel_last:
+                x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+                assert not x.flags.c_contiguous
+            check_grads_at(ad.batchnorm, [x, scale, shift], rng, frozen=frozen)
+
+    def test_batchnorm_peak_no_higher_than_the_mean_var_kernel(self):
+        # The bound is the peak the mean/var kernel this one replaced reached
+        # on this call, first in a fresh process (2,691,872 bytes when
+        # repeated): five 0.5 MiB arrays (its xc and xhat, the upstream
+        # gradient, g * xhat and the input gradient) and small objects. The
+        # closed form holds xc, the output, the upstream gradient, the input
+        # gradient and one temporary.
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((64, 16, 8, 8)), requires_grad=True)
+        scale, shift = (Tensor(a, requires_grad=True) for a in rng.standard_normal((2, 16)))
+        tracemalloc.start()
+        try:
+            with Tape():
+                ad.backward(ad.tensor_sum(ad.batchnorm(x, scale, shift)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape
+        assert peak <= 2_693_421, peak
+
     def test_batchnorm_rejects_single_sample(self):
         with pytest.raises(ValueError):
             with Tape():
                 ad.batchnorm(Tensor(np.ones((1, 4))), Tensor(np.ones(4)),
                              Tensor(np.zeros(4)))
+
+    def test_batchnorm_of_no_features(self):
+        # (4, 0) has no features, but each would be normalized over 4 samples
+        tensors = [Tensor(np.ones(s), requires_grad=True) for s in ((4, 0), 0, 0)]
+        with Tape():
+            out = ad.batchnorm(*tensors)
+            ad.backward(ad.tensor_sum(out))
+        assert out.shape == (4, 0)
+        assert [t.grad.shape for t in tensors] == [(4, 0), (0,), (0,)]
 
     def test_batchnorm_output_standardized(self):
         rng = np.random.default_rng(0)
@@ -650,6 +764,11 @@ INPUT_CHECKS = [
      ShapeError, "layernorm: input must have at least one axis"),
     ("affine_size", lambda: ad.layernorm(np.ones((4, 5)), np.ones(4), np.zeros(5)),
      ShapeError, "layernorm: affine shapes (4,)/(5,) do not match 5 features"),
+    ("layernorm_zero_features", lambda: ad.layernorm(np.ones((4, 0)), np.ones(0), np.zeros(0)),
+     ShapeError, "layernorm: input (4, 0) has no elements to normalize over"),
+    ("batchnorm_zero_width",
+     lambda: ad.batchnorm(np.ones((4, 2, 3, 0)), np.ones(2), np.zeros(2)),
+     ShapeError, "batchnorm: input (4, 2, 3, 0) has no elements to normalize over"),
     ("sgd_negative_lr", lambda: SGD([], lr=-0.1), ValueError,
      "learning rate must be non-negative, got -0.1"),
     ("sgd_momentum_one", lambda: SGD([], lr=0.1, momentum=1.0), ValueError,
@@ -773,7 +892,7 @@ class TestGradientOwnership:
 
     def test_node_kinds_cover_every_recorded_op(self):
         text = "".join(inspect.getsource(m) for m in (ad, co, models))
-        recorded = set(re.findall(r'(?:_record|_normalize)\("(\w+)"', text))
+        recorded = set(re.findall(r'_record\("(\w+)"', text))
         assert recorded == {p.values[0] for p in NODE_KINDS}
 
     @pytest.mark.parametrize("op,shapes,build", NODE_KINDS)
